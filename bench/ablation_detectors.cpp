@@ -20,10 +20,6 @@
  *   --jobs N            worker threads (0 = WORMNET_JOBS env, else
  *                       hardware concurrency); the JSON on stdout is
  *                       identical for every value
- *   --sim-jobs N        sharded-stepping workers inside each
- *                       simulation (0 = WORMNET_SIM_JOBS env, else
- *                       sequential); also output-invariant — CI
- *                       diffs 1 vs 8 on the quick configuration
  */
 
 #include <cstdio>
@@ -45,7 +41,6 @@ main(int argc, char **argv)
     Cycle threshold = 32;
     std::uint64_t seed = 1;
     unsigned jobs = 0;
-    unsigned simJobs = 0;
     unsigned radix = 8;
     bool quick = false;
 
@@ -77,9 +72,6 @@ main(int argc, char **argv)
             seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--jobs") {
             jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--sim-jobs") {
-            simJobs = static_cast<unsigned>(
                 std::strtoul(next(), nullptr, 10));
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
@@ -134,7 +126,6 @@ main(int argc, char **argv)
         cfg.recovery = "regressive:16";
         cfg.oraclePeriod = 64;
         cfg.seed = seed;
-        cfg.simJobs = simJobs;
         if (sc.faults[0] != '\0') {
             cfg.faults = sc.faults;
             cfg.faultRepair = sc.faultRepair;

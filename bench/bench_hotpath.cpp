@@ -26,8 +26,6 @@
  *   bench_hotpath --repeat N               passes per scenario; the
  *                                          median-throughput pass is
  *                                          reported (default 3)
- *   bench_hotpath --sim-jobs N             sharded-stepping worker
- *                                          count (default 1)
  *
  * The committed baseline (bench/BENCH_hotpath.json) is what the CI
  * perf-smoke step compares against; regenerate it with --out after an
@@ -96,7 +94,7 @@ totalFlitHops(const Network &net)
 
 Result
 runScenarioOnce(const Scenario &sc, std::uint64_t seed,
-                double min_seconds, unsigned sim_jobs)
+                double min_seconds)
 {
     SimulationConfig cfg;
     cfg.radix = sc.radix;
@@ -106,7 +104,6 @@ runScenarioOnce(const Scenario &sc, std::uint64_t seed,
     cfg.recovery = "progressive";
     cfg.oraclePeriod = 0; // isolate the per-cycle core
     cfg.seed = seed;
-    cfg.simJobs = sim_jobs;
 
     Simulation sim(cfg);
     sim.net().run(2000); // settle into steady state
@@ -139,12 +136,11 @@ runScenarioOnce(const Scenario &sc, std::uint64_t seed,
  */
 Result
 runScenario(const Scenario &sc, std::uint64_t seed,
-            double min_seconds, unsigned repeat, unsigned sim_jobs)
+            double min_seconds, unsigned repeat)
 {
     std::vector<Result> passes;
     for (unsigned i = 0; i < repeat; ++i)
-        passes.push_back(
-            runScenarioOnce(sc, seed, min_seconds, sim_jobs));
+        passes.push_back(runScenarioOnce(sc, seed, min_seconds));
     std::sort(passes.begin(), passes.end(),
               [](const Result &a, const Result &b) {
                   return a.cyclesPerSec() < b.cyclesPerSec();
@@ -202,7 +198,6 @@ main(int argc, char **argv)
     double max_regress = 0.30;
     double sat_rate = 0.45; // calibrated uniform sat on a 16x16 torus
     unsigned repeat = 3;
-    unsigned sim_jobs = 1;
     std::string out_file;
     std::string baseline_file;
 
@@ -232,8 +227,6 @@ main(int argc, char **argv)
             sat_rate = std::stod(next());
         else if (arg == "--repeat")
             repeat = std::max(1u, unsigned(std::stoul(next())));
-        else if (arg == "--sim-jobs")
-            sim_jobs = std::max(1u, unsigned(std::stoul(next())));
         else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             return 2;
@@ -256,8 +249,7 @@ main(int argc, char **argv)
 
     std::vector<Result> results;
     for (const Scenario &sc : scenarios)
-        results.push_back(
-            runScenario(sc, seed, min_seconds, repeat, sim_jobs));
+        results.push_back(runScenario(sc, seed, min_seconds, repeat));
 
     const std::string json = toJson(results);
     std::fputs(json.c_str(), stdout);

@@ -27,15 +27,6 @@
  *                      concurrency; 1 = serial). The table printed on
  *                      stdout is bitwise-identical for every value;
  *                      jobs and the measured speedup go to stderr.
- *   --sim-jobs <n>     worker threads INSIDE each simulation
- *                      (sharded stepping; default: WORMNET_SIM_JOBS
- *                      env, else 1). Orthogonal to --jobs: --jobs
- *                      parallelises sweep cells, --sim-jobs shards
- *                      one simulation's per-cycle passes across
- *                      contiguous node ranges. Output is
- *                      bitwise-identical at every value of both
- *                      (see "Sharded stepping" in
- *                      docs/MECHANISMS.md).
  *   --csv              also dump the table as CSV
  *   --checkpoint <f>   periodically save finished cells to <f>
  *   --checkpoint-every <n>  cells between saves (default 8)

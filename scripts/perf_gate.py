@@ -9,22 +9,12 @@ because shared CI runners are noisy: the gate catches a reintroduced
 exhaustive scan, not small drifts. Improvements and new scenarios
 never fail.
 
-With --scaling FILE the gate additionally checks a bench_scaling run:
-every scenario must have completed its jobs sweep (in particular the
-262k-node 64ary3cube_spot row), and the saturated_8ary3cube speedup
-at the highest job count must reach --min-speedup — but only when the
-recorded host_cores covers that job count. On a 1- or 2-core runner a
-flat curve is oversubscription, not a regression, so the ratio check
-is reported and skipped.
-
 Usage:
   scripts/perf_gate.py [--bench build/bench/bench_hotpath]
                        [--baseline bench/BENCH_hotpath.json]
                        [--max-regress 0.30] [--min-seconds 1]
                        [--json current.json]   # compare a saved run
                        [--out refreshed.json]  # also save this run
-                       [--scaling BENCH_scaling.json]
-                       [--min-speedup 3.0]
 
 Exit codes: 0 ok, 1 regression, 2 usage/environment error.
 """
@@ -48,10 +38,6 @@ SCENARIO_TOLERANCE = {
     "saturated_8ary3cube": 0.50,
 }
 
-# The scaling scenario whose speedup curve the gate asserts on, and
-# the job count the assertion applies to.
-SCALING_SCENARIO = "saturated_8ary3cube"
-
 
 def load_scenarios(doc):
     """Map scenario name -> cycles_per_sec from a bench JSON doc."""
@@ -62,52 +48,6 @@ def load_scenarios(doc):
         }
     except (KeyError, TypeError) as exc:
         sys.exit(f"perf_gate: malformed bench JSON: {exc}")
-
-
-def check_scaling(path, min_speedup):
-    """Validate a bench_scaling JSON. Returns a list of failures."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as exc:
-        sys.exit(f"perf_gate: cannot read scaling JSON: {exc}")
-
-    failures = []
-    host_cores = int(doc.get("host_cores", 1))
-    scenarios = {s["name"]: s for s in doc.get("scenarios", [])}
-
-    if "64ary3cube_spot" not in scenarios:
-        failures.append("scaling run is missing the 262k-node "
-                        "64ary3cube_spot scenario")
-    for name, sc in scenarios.items():
-        for p in sc.get("points", []):
-            if p.get("cycles", 0) <= 0 or p.get("seconds", 0) <= 0:
-                failures.append(
-                    f"{name} jobs={p.get('jobs')} did not complete")
-
-    sc = scenarios.get(SCALING_SCENARIO)
-    if sc is None:
-        failures.append(f"scaling run is missing {SCALING_SCENARIO}")
-        return failures
-    points = sorted(sc.get("points", []),
-                    key=lambda p: p.get("jobs", 0))
-    if not points:
-        failures.append(f"{SCALING_SCENARIO} has no points")
-        return failures
-    top = points[-1]
-    jobs, speedup = int(top.get("jobs", 1)), float(
-        top.get("speedup", 0.0))
-    print(f"scaling: {SCALING_SCENARIO} jobs={jobs} "
-          f"speedup={speedup:.2f}x (host_cores={host_cores})")
-    if host_cores < jobs:
-        print(f"scaling: host has {host_cores} core(s) < {jobs} "
-              f"jobs — speedup assertion skipped "
-              f"(oversubscribed, flat curve expected)")
-    elif speedup < min_speedup:
-        failures.append(
-            f"{SCALING_SCENARIO} speedup at jobs={jobs} is "
-            f"{speedup:.2f}x, below the {min_speedup:.2f}x floor")
-    return failures
 
 
 def main():
@@ -128,12 +68,6 @@ def main():
     ap.add_argument("--out", default=None,
                     help="write the current run's JSON here (for "
                          "refreshing the baseline)")
-    ap.add_argument("--scaling", default=None,
-                    help="also validate this bench_scaling JSON")
-    ap.add_argument("--min-speedup", type=float, default=3.0,
-                    help="required speedup at the highest job count "
-                         "of the scaling sweep (checked only when "
-                         "host_cores covers it)")
     args = ap.parse_args()
 
     try:
@@ -189,13 +123,6 @@ def main():
         print(f"{name:<{width}}  baseline scenario missing from "
               f"current run", file=sys.stderr)
 
-    scaling_failures = []
-    if args.scaling:
-        scaling_failures = check_scaling(args.scaling,
-                                         args.min_speedup)
-        for msg in scaling_failures:
-            print(f"perf_gate: scaling: {msg}", file=sys.stderr)
-
     if failures:
         print(f"perf_gate: {len(failures)} scenario(s) regressed "
               f"beyond tolerance: {', '.join(failures)}",
@@ -204,8 +131,6 @@ def main():
     if missing:
         print("perf_gate: treating missing scenarios as failure",
               file=sys.stderr)
-        return 1
-    if scaling_failures:
         return 1
     print("perf_gate: all scenarios within tolerance of baseline")
     return 0

@@ -21,13 +21,10 @@
 #
 # The TSan pass runs the tests that exercise the work-stealing pool
 # and the parallel experiment harness (test_parallel,
-# test_experiment), the DWFG jobs-invariance batch (whole
-# simulations with probe bookkeeping on worker threads), and the
-# sharded-stepping suites (ShardStep, SoaLayout): that is where
-# threads share state. WORMNET_SIM_JOBS=8 makes every simulation
-# large enough to shard run its per-cycle passes on 8 workers, so
-# the SoA cross-checks also execute against sharded state.
-# TSAN_CTEST_RE overrides the selection; the full suite under TSan
+# test_experiment) and the DWFG jobs-invariance batch (whole
+# simulations with probe bookkeeping on worker threads): that is
+# where threads share state. Each simulation itself steps on one
+# thread. TSAN_CTEST_RE overrides the selection; the full suite under TSan
 # works too, it is just slow.
 set -euo pipefail
 
@@ -62,54 +59,10 @@ run_tsan() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$build_dir" -j "$(nproc)"
 
-    local log rc=0
-    log=$(mktemp)
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-    WORMNET_SIM_JOBS=8 \
     ctest --test-dir "$build_dir" --output-on-failure \
-        -R "${TSAN_CTEST_RE:-ThreadPool|ParallelFor|ParallelDeterminism|Experiment|DwfgDifferential.Batch|ShardStep|SoaLayout}" \
-        -j "$(nproc)" 2>&1 | tee "$log" || rc=$?
-    if [ "$rc" -ne 0 ]; then
-        lint_pointer "$build_dir" "$log" || true
-    fi
-    rm -f "$log"
-    return "$rc"
-}
-
-# A data race found by TSan and a phase-discipline violation found by
-# wormnet-lint are often the same bug seen from two sides: a decide-
-# phase pass writing state it does not own. When a TSan failure's
-# stack frames name a function that wormnet-lint also flags, say so —
-# the static finding usually pinpoints the offending write.
-lint_pointer() {
-    local build_dir=$1 log=$2
-    local lint="$build_dir/tools/wormnet-lint/wormnet-lint"
-    [ -x "$lint" ] || lint="build/tools/wormnet-lint/wormnet-lint"
-    [ -x "$lint" ] || return 0
-
-    # TSan frames: "    #2 wormnet::Network::switchAll() file:line".
-    local fns
-    fns=$(grep -oE '#[0-9]+ [A-Za-z_][A-Za-z0-9_:<>~]*' "$log" \
-        | awk '{print $2}' | sed 's/.*:://' | sort -u) || true
-    [ -n "$fns" ] || return 0
-
-    local findings
-    findings=$("$lint" src bench tests --exclude=lint_fixtures \
-        2>/dev/null) || true
-    [ -n "$findings" ] || return 0
-
-    local fn hits
-    for fn in $fns; do
-        hits=$(printf '%s\n' "$findings" \
-            | grep -F "::${fn}'" || true)
-        if [ -n "$hits" ]; then
-            echo
-            echo "run_sanitized.sh: TSan stack names '${fn}', which" \
-                 "wormnet-lint also flags — the static finding below" \
-                 "likely pinpoints the racing write:"
-            printf '%s\n' "$hits"
-        fi
-    done
+        -R "${TSAN_CTEST_RE:-ThreadPool|ParallelFor|ParallelDeterminism|Experiment|DwfgDifferential.Batch}" \
+        -j "$(nproc)"
 }
 
 case "$MODE" in

@@ -87,43 +87,4 @@ inline constexpr bool WORMNET_INVARIANT_ENABLED =
 #define wn_assert(cond, ...)                                           \
     WORMNET_ASSERT(cond __VA_OPT__(, ) __VA_ARGS__)
 
-/**
- * @name Phase-discipline annotations (statically checked).
- *
- * The sharded stepping of PR 9 splits every per-cycle pass into a
- * *decide* phase — fanned out across shard workers over frozen state
- * — and a *commit* phase that replays the staged decisions in
- * ascending node order on the caller thread. Bitwise identity at any
- * --sim-jobs count rests on three rules inside decide-phase code:
- *
- *   1. never draw from the global RNG (consumption order would
- *      depend on the shard schedule);
- *   2. write only members whose writes are shard-disjoint by
- *      construction (marked WN_SHARD_LOCAL at the declaration);
- *   3. never call into commit-phase code.
- *
- * WN_DECIDE_PHASE / WN_COMMIT_PHASE go on the function declaration;
- * WN_SHARD_LOCAL goes on the member declaration. tools/wormnet-lint
- * enforces the rules statically (the built-in frontend reads the
- * macro spellings; the clang frontend reads the underlying
- * [[clang::annotate]] attributes), and the runtime cross-checks
- * (WORMNET_CHECK_ACTIVE_SETS / WORMNET_CHECK_SOA, the ShardStep
- * bitwise-identity suite, TSan) remain the dynamic backstop. See
- * docs/STATIC_ANALYSIS.md for the full contract.
- *
- * Under non-clang compilers the attributes vanish: they carry no
- * runtime semantics, only checkable intent.
- */
-/// @{
-#if defined(__clang__)
-#define WN_DECIDE_PHASE [[clang::annotate("wormnet::decide_phase")]]
-#define WN_COMMIT_PHASE [[clang::annotate("wormnet::commit_phase")]]
-#define WN_SHARD_LOCAL [[clang::annotate("wormnet::shard_local")]]
-#else
-#define WN_DECIDE_PHASE
-#define WN_COMMIT_PHASE
-#define WN_SHARD_LOCAL
-#endif
-/// @}
-
 #endif // WORMNET_COMMON_CONTRACTS_HH

@@ -3,7 +3,7 @@
  * Deterministic iteration over unordered containers.
  *
  * The repo's bitwise-reproducibility contract (golden tables at any
- * --jobs, sharded stepping at any --sim-jobs) forbids letting
+ * --jobs, checkpoints that resume bit-for-bit) forbids letting
  * hash-iteration order reach committed state, statistics, or any
  * serialized/printed byte. Hash containers are still the right tool
  * for membership and lookup — the rule is only that *iteration* on

@@ -1,6 +1,5 @@
 #include "core/simulation.hh"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "common/log.hh"
@@ -78,6 +77,12 @@ SimulationConfig::canonicalString() const
 Simulation::Simulation(const SimulationConfig &config)
     : config_(config)
 {
+    if (config.simJobs > 1)
+        fatal("sim-jobs=", config.simJobs,
+              ": sharded stepping was removed; every simulation "
+              "steps on one thread (use --jobs to run cells in "
+              "parallel)");
+
     topology_ = makeTopology(config.topology, config.radix,
                              config.dims, config.radices);
 
@@ -116,18 +121,6 @@ Simulation::Simulation(const SimulationConfig &config)
     network_ = std::make_unique<Network>(
         *topology_, np, *routing_, *detector_, recovery_.get(),
         *pattern_, *lengths_, config.flitRate, config.seed);
-
-    // Sharded stepping is a runtime execution choice (results are
-    // bitwise-identical at any count): --sim-jobs when given, else
-    // the WORMNET_SIM_JOBS environment variable, else sequential.
-    unsigned sim_jobs = config.simJobs;
-    if (sim_jobs == 0) {
-        if (const char *env = std::getenv("WORMNET_SIM_JOBS"))
-            sim_jobs = static_cast<unsigned>(
-                std::strtoul(env, nullptr, 10));
-    }
-    if (sim_jobs > 1)
-        network_->setSimJobs(sim_jobs);
 
     if (!config.faults.empty()) {
         FaultParams fp = FaultModel::parseSpec(config.faults);

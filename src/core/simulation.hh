@@ -94,15 +94,13 @@ struct SimulationConfig
     std::uint64_t seed = 1;
 
     /**
-     * Intra-simulation worker threads for sharded stepping
-     * (--sim-jobs; see Network::setSimJobs()). 0 resolves to the
-     * WORMNET_SIM_JOBS environment variable, else 1 (sequential).
-     * Purely a runtime execution choice: results are
-     * bitwise-identical at every value, so it is deliberately
-     * excluded from canonicalString() — checkpoints written at one
-     * job count resume at any other.
+     * Kept only so the benchmark driver in perfbench/, which sets it
+     * to 1 (and passes --sim-jobs 1 to table2_ndm_uniform), still
+     * builds and runs. The simulator steps every network on one
+     * thread; any value > 1 is rejected with a FatalError. Not part
+     * of canonicalString(). Goes away once perfbench stops naming it.
      */
-    unsigned simJobs = 0;
+    unsigned simJobs = 1;
 
     /**
      * Canonical single-line "key=value" rendering of every field.

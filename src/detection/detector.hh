@@ -274,20 +274,6 @@ class DeadlockDetector
     virtual bool idleCycleEndStable() const { return false; }
 
     /**
-     * True when onCycleEnd touches only state indexed by @p router
-     * (no cross-router queues, no global counters mutated), so the
-     * simulator may run the cycle-end sweep for disjoint router
-     * ranges on different worker threads (sharded stepping). The
-     * calls still happen at a step() barrier with the network state
-     * frozen, and verdict-producing hooks (onRoutingFailed,
-     * onInjectionStalled) stay on the sequential path regardless.
-     * Detectors with global cycle-end machinery — e.g. DWFG's probe
-     * transport — must keep the default; they get the sequential
-     * ascending-router sweep at any --sim-jobs count.
-     */
-    virtual bool cycleEndShardSafe() const { return false; }
-
-    /**
      * The routing function changed under a live network (online
      * reconfiguration). Per-channel *waiting/grant* state tied to the
      * old routing relation is now meaningless and must be dropped;

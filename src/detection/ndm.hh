@@ -101,8 +101,6 @@ class NdmDetector : public DeadlockDetector
                             bool faulty) override;
     /** Idle (0, 0) cycle-ends only re-clear already-clear state. */
     bool idleCycleEndStable() const override { return true; }
-    /** onCycleEnd only touches router-indexed run/G/P/waiting state. */
-    bool cycleEndShardSafe() const override { return true; }
     /** Drop routing-relation state (G/P flags, waiting masks); keep
      *  the channel-activity counters and I/DT flags, which time
      *  transmissions independent of the routing function. */

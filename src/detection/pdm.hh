@@ -57,8 +57,6 @@ class PdmDetector : public DeadlockDetector
     {
         return params_.gateOccupancy;
     }
-    /** onCycleEnd only touches router-indexed counters/IF flags. */
-    bool cycleEndShardSafe() const override { return true; }
     /** Drop the IF verdict flags; keep the activity counters. */
     void onRoutingChanged() override;
     void saveState(Serializer &s) const override;

@@ -43,9 +43,6 @@ class SourceTimeoutDetectorBase : public DeadlockDetector
     }
     void onCycleEnd(NodeId, PortMask, PortMask, Cycle) override {}
     bool idleCycleEndStable() const override { return true; }
-    /** onCycleEnd is empty; verdicts ride onInjectionStalled, which
-     *  the simulator always calls from the sequential phase. */
-    bool cycleEndShardSafe() const override { return true; }
     bool wantsInjectionStallReports() const override { return true; }
 
   protected:

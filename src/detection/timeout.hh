@@ -45,8 +45,6 @@ class TimeoutDetector : public DeadlockDetector
     {
     }
     bool idleCycleEndStable() const override { return true; }
-    /** onCycleEnd is empty. */
-    bool cycleEndShardSafe() const override { return true; }
     void saveState(Serializer &s) const override;
     void loadState(Deserializer &d) override;
     std::string name() const override;
@@ -78,7 +76,6 @@ class NullDetector : public DeadlockDetector
     }
     void onCycleEnd(NodeId, PortMask, PortMask, Cycle) override {}
     bool idleCycleEndStable() const override { return true; }
-    bool cycleEndShardSafe() const override { return true; }
     std::string name() const override { return "none"; }
 };
 

@@ -94,33 +94,6 @@ class NodeBitset
         }
     }
 
-    /**
-     * forEach restricted to members in [@p begin, @p end), for the
-     * sharded stepping phases. Both bounds must be multiples of 64
-     * (shard boundaries are 64-aligned), so concurrent walks over
-     * disjoint ranges touch disjoint words and the callback may
-     * erase members of its own range with the same rules as
-     * forEach(). @p end is clamped to the set size.
-     */
-    template <typename Fn>
-    void
-    forEachInRange(NodeId begin, NodeId end, Fn &&fn) const
-    {
-        std::size_t wi = begin >> 6;
-        std::size_t we = (std::size_t(end) + 63) >> 6;
-        if (we > words_.size())
-            we = words_.size();
-        for (; wi < we; ++wi) {
-            std::uint64_t w = words_[wi];
-            while (w) {
-                const unsigned b = static_cast<unsigned>(
-                    __builtin_ctzll(w));
-                w &= w - 1;
-                fn(static_cast<NodeId>((wi << 6) + b));
-            }
-        }
-    }
-
     /** Append the members to @p out in ascending node order. */
     void
     appendTo(std::vector<NodeId> &out) const

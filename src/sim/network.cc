@@ -93,7 +93,6 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     detectorIdleStable_ = detector_.idleCycleEndStable();
     detectorWantsCandidates_ = detector_.wantsBlockedCandidates();
     detectorWantsInjStall_ = detector_.wantsInjectionStallReports();
-    detectorCycleEndShardSafe_ = detector_.cycleEndShardSafe();
     detectorDeadMask_.assign(n, 0);
 
     // Steady-state churn should never reallocate the per-cycle
@@ -153,49 +152,6 @@ Network::Network(const Topology &topo, const NetworkParams &params,
 
     if (recovery_)
         recovery_->init(*this);
-}
-
-void
-Network::setSimJobs(unsigned jobs)
-{
-    if (jobs == 0)
-        jobs = 1;
-    simJobs_ = jobs;
-
-    // Contiguous blocks, rounded up to a multiple of 64 so shard
-    // boundaries land on NodeBitset word boundaries: concurrent
-    // walks (and the detector sweep's erases) touch disjoint words.
-    // Networks of <= 64 nodes always collapse to one shard and stay
-    // on the sequential path.
-    NodeId shard_size = 0;
-    unsigned shards = 0;
-    if (jobs > 1 && nNodes_ > 64) {
-        shard_size = static_cast<NodeId>(
-            (((nNodes_ + jobs - 1) / jobs) + 63) & ~NodeId(63));
-        shards = static_cast<unsigned>(
-            (nNodes_ + shard_size - 1) / shard_size);
-    }
-    if (shards <= 1) {
-        numShards_ = 0;
-        shardSize_ = 0;
-        simPool_.reset();
-        genStage_.clear();
-        genStage_.shrink_to_fit();
-        shardScratch_.clear();
-        shardScratch_.shrink_to_fit();
-        return;
-    }
-
-    shardSize_ = shard_size;
-    if (numShards_ != shards || !simPool_)
-        simPool_ = std::make_unique<ThreadPool>(shards);
-    numShards_ = shards;
-    genStage_.assign(nNodes_, GenStage{});
-    shardScratch_.resize(shards);
-    for (ShardScratch &sc : shardScratch_) {
-        sc.cand.reserve(outPorts_);
-        sc.wins.reserve(shardSize_);
-    }
 }
 
 void
@@ -682,42 +638,6 @@ Network::generateAndInject()
     // arrival process is a per-cycle Bernoulli trial), but only
     // active injectors — a queued message or an in-progress worm —
     // are worth a port/VC scan.
-    if (numShards_ > 1) {
-        // Sharded: each generator owns a private Rng split off the
-        // master stream at construction, so the draws are
-        // order-independent — tick them in parallel into genStage_,
-        // then commit in ascending node order. The commit interleave
-        // (message creation, stats, source push, injection attempt
-        // per node) matches the sequential loop exactly, so MsgId
-        // assignment and injection decisions are identical.
-        runOnShards([this](unsigned, NodeId begin, NodeId end) {
-            stageGeneration(begin, end);
-        });
-        for (NodeId node = 0; node < numNodes(); ++node) {
-            if (nodeOffline(node))
-                continue;
-            const GenStage &st = genStage_[node];
-            if (st.has) {
-                if (params_.maxSourceQueue == 0 ||
-                    sourceQueues_[node].size() <
-                        params_.maxSourceQueue) {
-                    const MsgId id = messages_.create(
-                        node, st.dst, st.length, now_, measuring_);
-                    ++stats_.generated;
-                    if (measuring_) {
-                        ++stats_.wGenerated;
-                        stats_.wGeneratedFlits += st.length;
-                    }
-                    trace(TraceEvent::Generated, id, node);
-                    pushSource(node, id, false);
-                }
-            }
-            if (injActive_.contains(node))
-                tryStartInjection(node);
-        }
-        return;
-    }
-
     for (NodeId node = 0; node < numNodes(); ++node) {
         if (nodeOffline(node))
             continue; // dead or drained: no generation, no injection
@@ -737,25 +657,6 @@ Network::generateAndInject()
         }
         if (injActive_.contains(node))
             tryStartInjection(node);
-    }
-}
-
-void
-Network::stageGeneration(NodeId begin, NodeId end)
-{
-    // Worker pass: reads node-offline state (frozen during this
-    // phase) and each node's private generator Rng; writes only this
-    // shard's genStage_ slots.
-    for (NodeId node = begin; node < end; ++node) {
-        GenStage &st = genStage_[node];
-        st.has = false;
-        if (nodeOffline(node))
-            continue;
-        if (auto gen = generators_[node].tick()) {
-            st.dst = gen->dst;
-            st.length = gen->length;
-            st.has = true;
-        }
     }
 }
 
@@ -877,20 +778,6 @@ Network::tryStartInjection(NodeId node)
 void
 Network::routeAll()
 {
-    // Sharded: warm the pure route-candidate cache in parallel
-    // first. The routing function is pure in (node, dst, in_port,
-    // in_vc) and the workers write only their own shard's cache
-    // slots, so the sequential walk below — which must stay
-    // sequential because VC selection consumes the single global Rng
-    // stream in node order — then runs almost entirely on cache
-    // hits. Its observable behaviour is unchanged: a warmed entry
-    // holds exactly what route() would have produced inline.
-    if (numShards_ > 1) {
-        runOnShards([this](unsigned shard, NodeId begin, NodeId end) {
-            warmRouteCandidates(shard, begin, end);
-        });
-    }
-
     // Word-at-a-time walk of the active nodes: routing can only
     // shrink the set (grants and recovery verdicts), and a shrunken
     // entry's routeOne is a no-op, exactly as in the exhaustive scan.
@@ -913,56 +800,6 @@ Network::routeAll()
                 vcm &= vcm - 1;
                 routeOne(rt, static_cast<PortId>(port), v,
                          fault_mask);
-            }
-        }
-    });
-}
-
-void
-Network::warmRouteCandidates(unsigned shard, NodeId begin, NodeId end)
-{
-    // Worker pass over frozen state: replicates routeOne()'s guards
-    // so only heads the sequential walk will actually present get
-    // warmed, calls the (pure, const) routing function into this
-    // shard's private scratch, and fills the cache slots of this
-    // shard's own input VCs — disjoint writes across workers.
-    // Candidate lists wider than the cache line are left cold
-    // (candMsg_ untouched); routeOne()'s sequential spill path
-    // handles them as before.
-    std::vector<RouteCandidate> &scratch = shardScratch_[shard].cand;
-    routeActive_.forEachInRange(begin, end, [&](NodeId node) {
-        const Router &rt = routers_[node];
-        for (PortId port = 0; port < inPorts_; ++port) {
-            std::uint32_t vcm =
-                routableVcMask_[std::size_t(node) * inPorts_ + port];
-            while (vcm) {
-                const VcId v =
-                    static_cast<VcId>(__builtin_ctz(vcm));
-                vcm &= vcm - 1;
-                const InputVc &vc = rt.inputVc(port, v);
-                if (vc.free() || vc.routed || vc.recovering ||
-                    vc.fifo.empty())
-                    continue;
-                const Flit &head = vc.fifo.front();
-                if (head.readyAt > now_ || !isHeadFlit(head.type))
-                    continue;
-                const std::size_t flat =
-                    (std::size_t(node) * inPorts_ + port) * vcs_ + v;
-                if (candMsg_[flat] == vc.msg)
-                    continue; // already warm
-                routing_->route(node, vc.dst, port, v, scratch);
-                const unsigned ncand =
-                    static_cast<unsigned>(scratch.size());
-                if (ncand > outPorts_)
-                    continue;
-                std::uint16_t *cp = &candPort_[flat * outPorts_];
-                std::uint32_t *cm = &candMask_[flat * outPorts_];
-                for (unsigned i = 0; i < ncand; ++i) {
-                    cp[i] = scratch[i].port;
-                    cm[i] = scratch[i].vcMask;
-                }
-                candCount_[flat] = static_cast<std::uint8_t>(ncand);
-                candMsg_[flat] = vc.msg;
             }
         }
     });
@@ -1150,42 +987,6 @@ Network::handleDetection(MsgId msg)
 void
 Network::switchAll()
 {
-    // Sharded: arbitration decisions depend only on state frozen at
-    // the start of the phase — a transfer's same-cycle side effects
-    // can never change another winner. Cross-node: flits land
-    // downstream with readyAt = now_+1 (a re-armed candidate bit is
-    // skipped by the readyAt re-check either way) and credits are
-    // deferred through creditReturns_. Within a node: each input VC
-    // feeds exactly one output VC and a transfer only mutates its
-    // own (in, out) pair's state. So the per-shard decide pass over
-    // frozen state picks exactly the winners the interleaved
-    // sequential scan would, and the commit below replays them in
-    // ascending node order — the identical interleaving.
-    if (numShards_ > 1) {
-        runOnShards([this](unsigned shard, NodeId begin, NodeId end) {
-            switchDecideShard(shard, begin, end);
-        });
-        // Shards are contiguous ascending blocks and each decision
-        // list is in ascending (node, port) order, so this walk is
-        // the sequential commit order.
-        for (unsigned s = 0; s < numShards_; ++s) {
-            for (const SwitchDecision &dec : shardScratch_[s].wins) {
-                Router &rt = routers_[dec.node];
-                OutputVc &out = rt.outputVc(dec.port, dec.vc);
-                InputVc &vc = rt.inputVc(out.srcPort, out.srcVc);
-                transferFlit(rt, dec.port, dec.vc, out, vc);
-                rt.saRoundRobin[dec.port] =
-                    (unsigned(dec.vc) + 1) % vcs_;
-                if (txMask_[dec.node] == 0)
-                    txNodes_.push_back(dec.node);
-                txMask_[dec.node] |= PortMask(1) << dec.port;
-                detActive_.insert(dec.node);
-            }
-            shardScratch_[s].wins.clear();
-        }
-        return;
-    }
-
     // Transfers can release output VCs (tail flits) but never
     // allocate, so the set only shrinks while iterating — and a port
     // whose last VC was just released yields no winner, same as the
@@ -1252,64 +1053,6 @@ Network::switchAll()
                 txNodes_.push_back(node);
             txMask_[node] |= PortMask(1) << q;
             detActive_.insert(node);
-        }
-    });
-}
-
-void
-Network::switchDecideShard(unsigned shard, NodeId begin, NodeId end)
-{
-    // Worker pass: the exact arbitration scan of the sequential
-    // switchAll() — same port order, same split-at-round-robin VC
-    // probe order, same cycle-local re-checks — minus every
-    // mutation. Reads only this shard's router state plus the
-    // (frozen) fault masks; writes only the shard-private decision
-    // list.
-    std::vector<SwitchDecision> &wins = shardScratch_[shard].wins;
-    wins.clear();
-    switchActive_.forEachInRange(begin, end, [&](NodeId node) {
-        const Router &rt = routers_[node];
-        const PortMask fault_mask = deadOutMask(node);
-        PortMask ports = allocOutMask_[node] & ~fault_mask;
-        while (ports) {
-            const PortId q = static_cast<PortId>(
-                __builtin_ctz(ports));
-            ports &= ports - 1;
-            const std::uint32_t cand =
-                switchCandVcMask_[std::size_t(node) * outPorts_ + q];
-            if (cand == 0)
-                continue;
-            const unsigned rr = rt.saRoundRobin[q];
-            int winner = -1;
-            std::uint32_t part =
-                cand & ~((std::uint32_t(1) << rr) - 1);
-            for (int half = 0; half < 2 && winner < 0; ++half) {
-                while (part) {
-                    const unsigned v2 = static_cast<unsigned>(
-                        __builtin_ctz(part));
-                    part &= part - 1;
-                    const OutputVc &out =
-                        rt.outputVc(q, static_cast<VcId>(v2));
-                    const InputVc &vc =
-                        rt.inputVc(out.srcPort, out.srcVc);
-                    WORMNET_ASSERT(vc.routed && vc.outPort == q);
-                    WORMNET_ASSERT(!vc.recovering &&
-                                   !vc.fifo.empty());
-                    if (vc.allocCycle >= now_)
-                        continue; // routed this very cycle
-                    const Flit &f = vc.fifo.front();
-                    if (f.readyAt > now_)
-                        continue;
-                    WORMNET_ASSERT(f.msg == out.msg);
-                    winner = static_cast<int>(v2);
-                    break;
-                }
-                part = cand & ((std::uint32_t(1) << rr) - 1);
-            }
-            if (winner < 0)
-                continue;
-            wins.push_back(SwitchDecision{
-                node, q, static_cast<VcId>(winner)});
         }
     });
 }
@@ -1606,31 +1349,11 @@ Network::detectorCycleEnd()
 void
 Network::runDetectorCycleEnd()
 {
-    // Sharded: a cycleEndShardSafe() detector's onCycleEnd touches
-    // only router-indexed state and returns nothing, so the per-node
-    // calls are order-independent and may fan out over the shards.
-    // Detectors with global cycle-end machinery (DWFG probe
-    // transport) keep the sequential ascending-node sweep.
-    const bool sharded_sweep =
-        numShards_ > 1 && detectorCycleEndShardSafe_;
-
     if (!detectorIdleStable_) {
         // The detector times even unoccupied channels (ungated PDM),
         // so every node must hear about every cycle. The occupied
         // mask still comes from the allocation counters instead of a
         // per-port output-VC scan.
-        if (sharded_sweep) {
-            runOnShards([this](unsigned, NodeId begin, NodeId end) {
-                for (NodeId node = begin; node < end; ++node) {
-                    const PortMask occupied =
-                        allocOutMask_[node] &
-                        ~detectorDeadMask_[node];
-                    detector_.onCycleEnd(node, txMask_[node],
-                                         occupied, now_);
-                }
-            });
-            return;
-        }
         for (NodeId node = 0; node < numNodes(); ++node) {
             // Dead channels (faulted or admin-removed) are not timed:
             // they will never transmit, so their inactivity says
@@ -1650,24 +1373,6 @@ Network::runDetectorCycleEnd()
     // walking is safe: the word being scanned was copied, and a
     // node erased from a later word would only have received
     // another idempotent idle call.)
-    if (sharded_sweep) {
-        // Shard boundaries are 64-aligned, so each worker's walk —
-        // including its trailing-idle erases — touches only its own
-        // NodeBitset words.
-        runOnShards([this](unsigned, NodeId begin, NodeId end) {
-            detActive_.forEachInRange(begin, end, [this](
-                                                     NodeId node) {
-                const PortMask occupied =
-                    allocOutMask_[node] & ~detectorDeadMask_[node];
-                detector_.onCycleEnd(node, txMask_[node], occupied,
-                                     now_);
-                if (txMask_[node] == 0 && allocOutMask_[node] == 0)
-                    detActive_.erase(node);
-            });
-        });
-        return;
-    }
-
     detActive_.forEach([this](NodeId node) {
         const PortMask occupied =
             allocOutMask_[node] & ~detectorDeadMask_[node];

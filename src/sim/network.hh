@@ -28,14 +28,10 @@
 #ifndef WORMNET_SIM_NETWORK_HH
 #define WORMNET_SIM_NETWORK_HH
 
-#include <algorithm>
 #include <deque>
-#include <memory>
 #include <queue>
 #include <vector>
 
-#include "common/contracts.hh"
-#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "detection/detector.hh"
@@ -169,26 +165,6 @@ class Network
 
     /** Change the offered load on every node (saturation sweeps). */
     void setFlitRate(double flit_rate);
-
-    /**
-     * Shard this network's step() across @p jobs worker threads
-     * (sharded stepping; see docs/MECHANISMS.md). Nodes are
-     * partitioned into contiguous 64-aligned blocks; the read-only
-     * per-cycle passes (traffic generation, route-candidate warming,
-     * switch-arbitration decisions, detector cycle-end when the
-     * detector is cycleEndShardSafe()) fan out one task per shard,
-     * while every state commit stays on the caller thread in
-     * ascending node order — so results, stdout and checkpoints are
-     * bitwise-identical at any job count. jobs <= 1 (and any network
-     * of <= 64 nodes, which yields a single shard) keeps the plain
-     * sequential path with no pool at all. The shard count is a
-     * runtime choice, never serialized: a checkpoint written at one
-     * job count resumes at any other.
-     */
-    void setSimJobs(unsigned jobs);
-
-    /** Configured intra-simulation worker count (>= 1). */
-    unsigned simJobs() const { return simJobs_; }
 
     /** Attach (or detach with nullptr) an event tracer. Not owned. */
     void attachTracer(Tracer *tracer) { tracer_ = tracer; }
@@ -364,23 +340,17 @@ class Network
 
   private:
     friend class ReconfigManager;
-    /* The per-cycle phase drivers below are *commit* phase: they
-     * mutate committed network state in ascending node order and own
-     * the global RNG stream. Their shard-parallel decide passes are
-     * declared further down with WN_DECIDE_PHASE; wormnet-lint
-     * enforces the split (see docs/STATIC_ANALYSIS.md). */
-    WN_COMMIT_PHASE void generateAndInject();
+    void generateAndInject();
     void tryStartInjection(NodeId node);
-    WN_COMMIT_PHASE void routeAll();
-    WN_COMMIT_PHASE void routeOne(Router &rt, PortId port, VcId vc,
-                                  PortMask fault_mask);
-    WN_COMMIT_PHASE void switchAll();
+    void routeAll();
+    void routeOne(Router &rt, PortId port, VcId vc,
+                  PortMask fault_mask);
+    void switchAll();
     /** Move the winning flit of (out_port, out_vc) across the
      *  switch. @p out / @p vc are the already-resolved output VC and
      *  its routed source input VC (the pop is inlined here). */
-    WN_COMMIT_PHASE void transferFlit(Router &rt, PortId out_port,
-                                      VcId out_vc, OutputVc &out,
-                                      InputVc &vc);
+    void transferFlit(Router &rt, PortId out_port, VcId out_vc,
+                      OutputVc &out, InputVc &vc);
     void detectorCycleEnd();
     /** The per-node cycle-end sweep itself (exhaustive or
      *  active-set), without the control-traffic poll. */
@@ -483,70 +453,6 @@ class Network
     /** Record a deadlock verdict for @p msg and invoke recovery. */
     void handleDetection(MsgId msg);
 
-    /** @name Sharded stepping (see setSimJobs()).
-     *
-     * numShards_ == 0 means sequential: every phase runs its
-     * original single-threaded code verbatim. With shards, each
-     * phase splits into a parallel read-only pass over frozen state
-     * (workers write only shard-private staging slots) and a
-     * sequential commit that replays the staged results in ascending
-     * node order — reproducing the exact sequential interleaving of
-     * RNG draws, stats updates, message-id assignment and detector
-     * verdicts.
-     */
-    /// @{
-    NodeId shardBegin(unsigned s) const
-    {
-        return static_cast<NodeId>(s) * shardSize_;
-    }
-    NodeId shardEnd(unsigned s) const
-    {
-        return std::min<NodeId>(nNodes_,
-                                static_cast<NodeId>(s + 1) *
-                                    shardSize_);
-    }
-
-    /** Fork one task per shard onto the pool and join. @p fn is
-     *  called as fn(shard, begin, end) with 64-aligned begin. */
-    template <typename Fn>
-    void
-    runOnShards(Fn &&fn)
-    {
-        for (unsigned s = 0; s < numShards_; ++s) {
-            simPool_->submit([this, &fn, s] {
-                fn(s, shardBegin(s), shardEnd(s));
-            });
-        }
-        simPool_->wait();
-    }
-
-    /** Parallel pass of the generation phase: tick every online
-     *  node's generator in [begin, end) into genStage_. */
-    WN_DECIDE_PHASE void stageGeneration(NodeId begin, NodeId end);
-
-    /** Parallel pass of the routing phase: warm the route-candidate
-     *  cache for every routable head in [begin, end) so the
-     *  sequential routeAll() commit only replays cache hits. */
-    WN_DECIDE_PHASE void warmRouteCandidates(unsigned shard,
-                                             NodeId begin,
-                                             NodeId end);
-
-    /** One switch-arbitration winner, staged by the parallel decide
-     *  pass and committed sequentially. */
-    struct SwitchDecision
-    {
-        NodeId node;
-        PortId port;
-        VcId vc;
-    };
-
-    /** Parallel pass of the switch phase: run the arbitration scan
-     *  for [begin, end) over frozen state, appending winners (in
-     *  ascending node/port order) to the shard's decision list. */
-    WN_DECIDE_PHASE void switchDecideShard(unsigned shard,
-                                           NodeId begin, NodeId end);
-    /// @}
-
     /** Emit a trace record when a tracer is attached. */
     void
     trace(TraceEvent event, MsgId msg, NodeId node = kInvalidNode,
@@ -589,10 +495,7 @@ class Network
     std::vector<Router> routers_;
     MessageStore messages_;
     std::vector<std::deque<MsgId>> sourceQueues_;
-    /* Each generator owns a private RNG stream keyed by node id, so
-     * concurrent ticks from disjoint node ranges are shard-disjoint
-     * by construction. */
-    WN_SHARD_LOCAL std::vector<NodeGenerator> generators_;
+    std::vector<NodeGenerator> generators_;
 
     /** (cycle, msg) pairs waiting for regressive re-injection. */
     struct Reinject
@@ -715,11 +618,10 @@ class Network
      *  granted. candMsg_ names the message an entry describes
      *  (kInvalidMsg = empty/uncacheable); entries are invalidated in
      *  bulk whenever the routing relation changes. */
-    WN_SHARD_LOCAL std::vector<MsgId> candMsg_;
-    WN_SHARD_LOCAL std::vector<std::uint8_t> candCount_;
-    WN_SHARD_LOCAL std::vector<std::uint16_t>
-        candPort_; ///< [flatIn * outPorts_ + i]
-    WN_SHARD_LOCAL std::vector<std::uint32_t> candMask_;
+    std::vector<MsgId> candMsg_;
+    std::vector<std::uint8_t> candCount_;
+    std::vector<std::uint16_t> candPort_; ///< [flatIn * outPorts_ + i]
+    std::vector<std::uint32_t> candMask_;
     /** Spill buffers for candidate lists wider than outPorts_. */
     std::vector<std::uint16_t> candPortOv_;
     std::vector<std::uint32_t> candMaskOv_;
@@ -749,41 +651,6 @@ class Network
 
     /** Brute-force cross-check of the SoA mirrors each cycle. */
     bool checkSoa_ = false;
-
-    /** @name Sharded-stepping state (runtime choice, not
-     *  serialized; see setSimJobs()). */
-    /// @{
-    /** Configured worker count (>= 1; 1 = sequential). */
-    unsigned simJobs_ = 1;
-    /** Shards actually formed (0 = sequential stepping). */
-    unsigned numShards_ = 0;
-    /** Nodes per shard, a multiple of 64 so shard boundaries fall on
-     *  NodeBitset word boundaries (disjoint words per worker). */
-    NodeId shardSize_ = 0;
-    /** Intra-simulation worker pool (one thread per shard). */
-    std::unique_ptr<ThreadPool> simPool_;
-    /** The attached detector's cycle-end sweep may fan out. */
-    bool detectorCycleEndShardSafe_ = false;
-
-    /** Per-node staged generator draw (parallel tick, sequential
-     *  commit). Valid only within generateAndInject(). */
-    struct GenStage
-    {
-        NodeId dst = kInvalidNode;
-        unsigned length = 0;
-        bool has = false;
-    };
-    WN_SHARD_LOCAL std::vector<GenStage> genStage_;
-
-    /** Per-shard scratch: a private route() output buffer for the
-     *  cache-warming pass and the staged switch decisions. */
-    struct ShardScratch
-    {
-        std::vector<RouteCandidate> cand;
-        std::vector<SwitchDecision> wins;
-    };
-    WN_SHARD_LOCAL std::vector<ShardScratch> shardScratch_;
-    /// @}
 
     /** Drop every candidate-cache entry (routing relation changed
      *  or state restored from a checkpoint). */

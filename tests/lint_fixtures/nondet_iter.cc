@@ -7,6 +7,8 @@
  * line; the runner fails on any missing or extra finding. Lines
  * without EXPECT must stay clean, so the negative cases (sorted_view
  * escape, unreachable function, suppressed site) are asserted too.
+ * A function named `step` is a root of its own: everything the
+ * simulator's per-cycle step() reaches mutates simulated state.
  */
 
 #include <string>
@@ -80,5 +82,29 @@ Stats::rebuildCache()
     // into output, so this stays clean.
     for (const auto &kv : counters) {
         (void)kv;
+    }
+}
+
+struct Engine
+{
+    std::unordered_set<int> pending;
+
+    void step();
+    void drainPending();
+};
+
+void
+Engine::step()
+{
+    drainPending();
+}
+
+void
+Engine::drainPending()
+{
+    // Reachable only from step(): no output, stats or serialization
+    // root leads here, yet the walk order reaches simulated state.
+    for (const int id : pending) { // EXPECT: nondet-iter/range-for
+        (void)id;
     }
 }

@@ -106,6 +106,15 @@ TEST(GoldenTables, Table2NdmUniform)
     checkGoldenTable("table2_ndm_uniform", "table2_quick.txt");
 }
 
+// perfbench/run.py replays this golden with exactly these two flags;
+// --sim-jobs 1 must stay accepted (and output-neutral) until the
+// benchmark stops passing it.
+TEST(GoldenTables, Table2NdmUniformPerfbenchArgs)
+{
+    checkGoldenTable("table2_ndm_uniform", "table2_quick.txt",
+                     "--jobs 1 --sim-jobs 1");
+}
+
 TEST(GoldenTables, Table7NdmHotspot)
 {
     checkGoldenTable("table7_ndm_hotspot", "table7_quick.txt");

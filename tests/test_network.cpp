@@ -241,6 +241,21 @@ TEST(Network, InvalidConfigIsFatal)
     EXPECT_THROW(Simulation{cfg}, FatalError);
 }
 
+// Every network steps on one thread. sim-jobs survives only as a
+// config key that accepts 0 or 1 (the benchmark driver passes 1);
+// asking for more must fail loudly, not silently run sequentially.
+TEST(Network, SimJobsAboveOneIsFatal)
+{
+    SimulationConfig cfg = smallConfig();
+    cfg.simJobs = 1;
+    EXPECT_NO_THROW(Simulation{cfg});
+    cfg.simJobs = 2;
+    EXPECT_THROW(Simulation{cfg}, FatalError);
+
+    const Config cli = Config::parseString("sim-jobs=1");
+    EXPECT_EQ(SimulationConfig::fromConfig(cli).simJobs, 1u);
+}
+
 TEST(Network, MeshTopologyEndToEnd)
 {
     SimulationConfig cfg = smallConfig();

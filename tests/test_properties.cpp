@@ -21,10 +21,12 @@ namespace wormnet
 namespace
 {
 
-/** Conservation and cleanliness after full drain, across patterns. */
+/** Conservation and cleanliness after full drain, across patterns.
+ *  Strings are std::string, not const char *: test names are printed
+ *  from the parameters, and a pointer would put an address in them. */
 class ConservationSweep
     : public ::testing::TestWithParam<
-          std::tuple<const char *, double, unsigned>>
+          std::tuple<std::string, double, unsigned>>
 {
 };
 
@@ -205,7 +207,7 @@ TEST(Selectivity, NdmNeverWorseThanPdmSeedAveraged)
 
 /** With detection + recovery, no deadlock persists for long. */
 class RecoveryLiveness : public ::testing::TestWithParam<
-                             std::tuple<const char *, const char *>>
+                             std::tuple<std::string, std::string>>
 {
 };
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/log.hh"
@@ -72,10 +73,12 @@ TEST(Validate, DetectsDanglingAllocation)
     EXPECT_THROW(validateNetworkInvariants(sim.net()), PanicError);
 }
 
-/** The kernel keeps every invariant across mechanisms and loads. */
+/** The kernel keeps every invariant across mechanisms and loads.
+ *  Strings are std::string, not const char *: test names are printed
+ *  from the parameters, and a pointer would put an address in them. */
 class ValidateSweep
     : public ::testing::TestWithParam<
-          std::tuple<const char *, const char *, unsigned, double>>
+          std::tuple<std::string, std::string, unsigned, double>>
 {
 };
 

@@ -7,9 +7,7 @@
 namespace wormnet_lint
 {
 
-const char *const kCheckFamilies[3] = {"nondet-iter",
-                                       "phase-discipline",
-                                       "banned-api"};
+const char *const kCheckFamilies[2] = {"nondet-iter", "banned-api"};
 
 namespace
 {
@@ -79,7 +77,7 @@ struct Engine
 
     /** Unqualified name -> function indices. */
     std::map<std::string, std::vector<std::size_t>> byName;
-    /** Reachability from output/commit/stats roots: for each
+    /** Reachability from output/step/stats roots: for each
      *  function index, the root reason ("" = unreachable) and the
      *  predecessor on the BFS path. */
     std::vector<std::string> rootReason;
@@ -128,8 +126,8 @@ struct Engine
         for (std::size_t i = 0; i < n; ++i) {
             const FunctionInfo &fn = model.functions[i];
             std::string why;
-            if (fn.anno & kAnnoCommit)
-                why = "commit phase";
+            if (fn.name == "step")
+                why = "simulated-state path";
             else if (fn.hasOstreamParam)
                 why = "ostream output path";
             else if (fn.mentions.count("cout") ||
@@ -202,13 +200,6 @@ struct Engine
             if (v.name == name && v.floating)
                 return true;
         return false;
-    }
-
-    static bool isAssignOp(const std::string &s)
-    {
-        return s == "=" || s == "+=" || s == "-=" || s == "*=" ||
-               s == "/=" || s == "%=" || s == "|=" || s == "&=" ||
-               s == "^=" || s == "<<=" || s == ">>=";
     }
 
     // ---- check 1: nondeterministic iteration -----------------------
@@ -329,227 +320,7 @@ struct Engine
         }
     }
 
-    // ---- check 2: phase discipline ---------------------------------
-
-    void checkPhase(std::size_t fnIdx)
-    {
-        const FunctionInfo &fn = model.functions[fnIdx];
-        if (!(fn.anno & kAnnoDecide))
-            return;
-        const std::vector<Token> &toks =
-            model.files[fn.fileIndex].lx.tokens;
-
-        // (a) global RNG draws.
-        for (std::size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
-            if (toks[i].isIdent() && (toks[i].is("rng_") ||
-                                      toks[i].is("globalRng"))) {
-                emit(&fn, toks[i], "phase-discipline", "decide-rng",
-                     "WN_DECIDE_PHASE function '" + fn.qualName +
-                         "' draws from the global RNG ('" +
-                         toks[i].text +
-                         "'): RNG consumption order would depend on "
-                         "the shard schedule",
-                     "consume the RNG in the commit phase, or use a "
-                     "per-node/per-shard stream");
-            }
-        }
-
-        // (b) calls into commit-annotated code, transitively through
-        // un-annotated helpers. Paths are function indices so the
-        // diagnostic can anchor at the first-hop call site.
-        std::deque<std::vector<std::size_t>> queue;
-        queue.push_back({fnIdx});
-        std::set<std::size_t> seen{fnIdx};
-        while (!queue.empty()) {
-            std::vector<std::size_t> path = std::move(queue.front());
-            queue.pop_front();
-            const std::size_t cur = path.back();
-            for (const std::string &callee :
-                 model.functions[cur].callees) {
-                auto it = byName.find(callee);
-                if (it == byName.end())
-                    continue;
-                for (std::size_t nxt : it->second) {
-                    if (seen.count(nxt))
-                        continue;
-                    seen.insert(nxt);
-                    const FunctionInfo &g = model.functions[nxt];
-                    auto npath = path;
-                    npath.push_back(nxt);
-                    if (g.anno & kAnnoCommit) {
-                        std::string chain;
-                        for (std::size_t s : npath)
-                            chain += (chain.empty() ? "" : " -> ") +
-                                     model.functions[s].qualName;
-                        // Anchor at the call of the first hop out of
-                        // fn (the direct callee on this path).
-                        const std::string &hop =
-                            model.functions[npath[1]].name;
-                        Token at{TokKind::Ident, fn.name, fn.line, 1};
-                        for (std::size_t i = fn.bodyBegin;
-                             i < fn.bodyEnd; ++i)
-                            if (toks[i].is(hop.c_str())) {
-                                at = toks[i];
-                                break;
-                            }
-                        emit(&fn, at, "phase-discipline",
-                             "decide-calls-commit",
-                             "WN_DECIDE_PHASE function '" +
-                                 fn.qualName +
-                                 "' reaches WN_COMMIT_PHASE "
-                                 "function '" +
-                                 g.qualName + "'",
-                             "", "call chain: " + chain);
-                        continue; // don't traverse past commit fns
-                    }
-                    if (!(g.anno & kAnnoDecide))
-                        queue.push_back(std::move(npath));
-                }
-            }
-        }
-
-        // (c) writes to members that are not WN_SHARD_LOCAL.
-        checkDecideWrites(fnIdx);
-    }
-
-    void checkDecideWrites(std::size_t fnIdx)
-    {
-        const FunctionInfo &fn = model.functions[fnIdx];
-        const std::vector<Token> &toks =
-            model.files[fn.fileIndex].lx.tokens;
-
-        const auto flagWrite = [&](const Token &at,
-                                   const MemberInfo &m,
-                                   const char *how) {
-            emit(&fn, at, "phase-discipline", "decide-write",
-                 std::string("WN_DECIDE_PHASE function '") +
-                     fn.qualName + "' " + how + " member '" + m.name +
-                     "' which is not WN_SHARD_LOCAL",
-                 "mark the member WN_SHARD_LOCAL if writes are "
-                 "shard-disjoint by construction, or move the write "
-                 "to the commit phase");
-        };
-
-        // Statement-level pass for non-const reference / pointer
-        // bindings: `Type &x = ...member_...;` without const.
-        std::vector<std::size_t> stmt; // token indices
-        const auto flushStmt = [&]() {
-            if (stmt.size() < 3) {
-                stmt.clear();
-                return;
-            }
-            // Find a top-level '=' with a declarator LHS.
-            int depth = 0;
-            std::size_t eq = 0;
-            for (std::size_t k = 0; k < stmt.size(); ++k) {
-                const Token &t = toks[stmt[k]];
-                if (t.is("(") || t.is("[") || t.is("<"))
-                    ++depth;
-                else if (t.is(")") || t.is("]") || t.is(">"))
-                    --depth;
-                else if (depth == 0 && t.is("=") && k > 0) {
-                    eq = k;
-                    break;
-                }
-            }
-            if (eq >= 2 && toks[stmt[eq - 1]].isIdent()) {
-                bool hasRef = false, hasConst = false;
-                for (std::size_t k = 0; k < eq - 1; ++k) {
-                    if (toks[stmt[k]].is("&") || toks[stmt[k]].is("*"))
-                        hasRef = true;
-                    if (toks[stmt[k]].is("const"))
-                        hasConst = true;
-                }
-                if (hasRef && !hasConst) {
-                    // Only the *first* member named after '=' can be
-                    // the root of the bound lvalue; members deeper in
-                    // the expression (index arithmetic, call
-                    // arguments) are reads.
-                    for (std::size_t k = eq + 1; k < stmt.size();
-                         ++k) {
-                        const Token &t = toks[stmt[k]];
-                        if (!t.isIdent())
-                            continue;
-                        const MemberInfo *m = model.findMember(
-                            fn.className, t.text);
-                        if (!m)
-                            continue;
-                        if (!m->shardLocal)
-                            flagWrite(t, *m,
-                                      "binds a mutable reference to");
-                        break;
-                    }
-                }
-            }
-            stmt.clear();
-        };
-
-        for (std::size_t i = fn.bodyBegin; i < fn.bodyEnd; ++i) {
-            const Token &t = toks[i];
-            if (t.is(";") || t.is("{") || t.is("}")) {
-                flushStmt();
-                continue;
-            }
-            stmt.push_back(i);
-
-            if (!t.isIdent())
-                continue;
-            const MemberInfo *m =
-                model.findMember(fn.className, t.text);
-            if (!m)
-                continue;
-
-            // Direct write: member [idx]... (.field)* <assign-op>
-            std::size_t k = i + 1;
-            while (k < fn.bodyEnd) {
-                if (toks[k].is("[")) {
-                    k = matchForward(toks, k, "[", "]", fn.bodyEnd) +
-                        1;
-                    continue;
-                }
-                if ((toks[k].is(".") || toks[k].is("->")) &&
-                    k + 1 < fn.bodyEnd && toks[k + 1].isIdent() &&
-                    (k + 2 >= fn.bodyEnd || !toks[k + 2].is("("))) {
-                    k += 2;
-                    continue;
-                }
-                break;
-            }
-            bool wrote = false;
-            if (k < fn.bodyEnd && (isAssignOp(toks[k].text) ||
-                                   toks[k].is("++") ||
-                                   toks[k].is("--")))
-                wrote = true;
-            if (i > fn.bodyBegin && (toks[i - 1].is("++") ||
-                                     toks[i - 1].is("--")))
-                wrote = true;
-            // Mutating method call on the member (or its element).
-            if (!wrote && k + 1 < fn.bodyEnd &&
-                (toks[k].is(".") || toks[k].is("->"))) {
-                static const std::set<std::string> mut = {
-                    "push_back", "emplace_back", "pop_back", "clear",
-                    "insert",    "emplace",      "erase",    "resize",
-                    "assign",    "push",         "pop",      "swap",
-                    "fill",      "reserve",      "shrink_to_fit"};
-                if (mut.count(toks[k + 1].text) &&
-                    k + 2 < fn.bodyEnd && toks[k + 2].is("("))
-                    wrote = true;
-            }
-            if (!wrote && i > fn.bodyBegin && toks[i - 1].is("&")) {
-                // Address-of as a call argument: &member_ handed out
-                // mutably.
-                const Token &before =
-                    i >= 2 ? toks[i - 2] : toks[i - 1];
-                if (before.is("(") || before.is(","))
-                    wrote = true;
-            }
-            if (wrote && !m->shardLocal)
-                flagWrite(t, *m, "writes");
-        }
-        flushStmt();
-    }
-
-    // ---- check 3: banned APIs --------------------------------------
+    // ---- check 2: banned APIs --------------------------------------
 
     void checkBannedApi(std::size_t fnIdx)
     {
@@ -742,8 +513,6 @@ struct Engine
         for (std::size_t i = 0; i < model.functions.size(); ++i) {
             if (enabled("nondet-iter") || enabled("banned-api"))
                 checkNondetIter(i);
-            if (enabled("phase-discipline"))
-                checkPhase(i);
             checkBannedApi(i);
         }
         applySuppressions();

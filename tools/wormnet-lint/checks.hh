@@ -3,12 +3,9 @@
  * The wormnet-lint check families.
  *
  *  - nondet-iter: range-for / .begin() iteration over unordered
- *    containers in any function reachable from a committed-state,
- *    serialization, stats or stdout path, unless routed through
- *    wormnet::sorted_view(...).
- *  - phase-discipline: WN_DECIDE_PHASE functions must not draw from
- *    the global RNG, write members not marked WN_SHARD_LOCAL, or
- *    (transitively) call WN_COMMIT_PHASE functions.
+ *    containers in any function reachable from a step() (simulated
+ *    state), serialization, stats or stdout path, unless routed
+ *    through wormnet::sorted_view(...).
  *  - banned-api: rand()/srand()/time(), wall-clock *_clock::now()
  *    (incl. through `using Clock = ...` aliases), std::random_device,
  *    default-seeded std RNG engines, pointer-keyed ordering/hashing,
@@ -58,12 +55,12 @@ struct CheckOptions
     std::set<std::string> enabled;
     bool fixits = true;
     /** Warn on allow() directives that silenced nothing. Off by
-     *  default: a directive may target the other frontend (e.g. a
-     *  template the built-in frontend cannot instantiate). */
+     *  default: a directive may cover code the heuristic model
+     *  does not see (e.g. a template it cannot instantiate). */
     bool strictSuppressions = false;
 };
 
-extern const char *const kCheckFamilies[3];
+extern const char *const kCheckFamilies[2];
 
 /** Run every enabled check over the model; returns diagnostics
  *  sorted by (file, line, col), suppressions already applied. */

@@ -1,24 +1,18 @@
 /**
  * @file
- * wormnet-lint: static determinism & phase-discipline checker.
+ * wormnet-lint: static determinism checker.
  *
  * Guards the repo's bitwise-reproducibility invariant at compile
- * time: byte-identical golden tables at any --jobs, bitwise-identical
- * sharded stepping at any --sim-jobs, and zero-false-positive DWFG
- * verdicts all assume that no committed state, stats or stdout ever
- * depends on hash-iteration order, wall clocks, or the shard
- * schedule. This tool makes those conventions diagnosable instead of
- * tribal. See docs/STATIC_ANALYSIS.md for the check catalogue and
- * the suppression policy.
+ * time: byte-identical golden tables at any --jobs, bit-for-bit
+ * checkpoint resume, and zero-false-positive DWFG verdicts all
+ * assume that no committed state, stats or stdout ever depends on
+ * hash-iteration order or wall clocks. This tool makes those
+ * conventions diagnosable instead of tribal. See
+ * docs/STATIC_ANALYSIS.md for the check catalogue and the
+ * suppression policy.
  *
- * Frontends: the built-in frontend (always available, zero external
- * dependencies) lexes and models the C++ itself — see lexer.hh /
- * model.hh for the accuracy contract. When the build host has a full
- * clang development installation, -DWORMNET_LINT_CLANG=ON compiles
- * the LibTooling/AST-matcher frontend instead (frontend_clang.cc),
- * which consumes compile_commands.json directly; both emit the same
- * diagnostics format, and the fixture suite pins the behaviour of
- * whichever one is built.
+ * The frontend lexes and models the C++ itself, with zero external
+ * dependencies — see lexer.hh / model.hh for the accuracy contract.
  *
  * Usage:
  *   wormnet-lint [options] <file-or-dir>...
@@ -28,7 +22,7 @@
  *   -p <dir>          read <dir>/compile_commands.json and lint every
  *                     listed source plus headers next to them
  *   --check=a,b       run only the named families
- *                     (nondet-iter, phase-discipline, banned-api)
+ *                     (nondet-iter, banned-api)
  *   --exclude=substr  skip paths containing substr (repeatable)
  *   --no-fixits       omit fix-it hints
  *   --json            machine-readable output
@@ -172,7 +166,7 @@ main(int argc, char **argv)
     // Gather the file set: explicit files, recursive directories,
     // and/or everything compile_commands.json names (plus the
     // headers sitting next to those sources — headers never appear
-    // in the database but carry the class/annotation declarations).
+    // in the database but carry the class/member declarations).
     std::set<std::string> files;
     std::set<std::string> headerDirs;
     if (!buildDir.empty()) {
@@ -231,7 +225,6 @@ main(int argc, char **argv)
             continue;
         buildFileModel(model, lex(f, readFile(f)));
     }
-    finalizeModel(model);
 
     const std::vector<Diagnostic> diags = runChecks(model, opt);
 

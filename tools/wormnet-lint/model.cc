@@ -146,19 +146,6 @@ qualifyingClass(const std::vector<Token> &p, std::size_t nameTok)
     return "";
 }
 
-unsigned
-annotationsIn(const std::vector<Token> &p)
-{
-    unsigned a = kAnnoNone;
-    for (const Token &t : p) {
-        if (t.is("WN_DECIDE_PHASE"))
-            a |= kAnnoDecide;
-        else if (t.is("WN_COMMIT_PHASE"))
-            a |= kAnnoCommit;
-    }
-    return a;
-}
-
 /** Record parameter-derived locals (unordered containers passed in,
  *  ostream sinks) from the signature group [open, close]. */
 void
@@ -435,16 +422,8 @@ buildFileModel(Model &model, LexedFile lx)
         if (pending[0].is("friend") || pending[0].is("static_assert"))
             return;
         const PendingGroup g = firstNamedParenGroup(pending);
-        if (g.found) {
-            // Method declaration: harvest phase annotations so the
-            // out-of-line definition inherits them.
-            const unsigned anno = annotationsIn(pending);
-            if (anno != kAnnoNone)
-                model.declAnnotations[cls + "::" +
-                                      pending[g.nameTok].text] |=
-                    anno;
-            return;
-        }
+        if (g.found)
+            return; // method declaration
         // Data member: declarator is the last identifier before the
         // initializer (= or {) or the end of the statement.
         std::size_t end = pending.size();
@@ -481,9 +460,6 @@ buildFileModel(Model &model, LexedFile lx)
         m.className = cls;
         m.line = pending[nameIdx].line;
         const std::string typeText = joinTokens(pending, 0, nameIdx);
-        for (const Token &t : pending)
-            if (t.is("WN_SHARD_LOCAL"))
-                m.shardLocal = true;
         m.unorderedType = typeTextHasUnordered(typeText);
         if (!m.unorderedType) {
             for (std::size_t i = 0; i < nameIdx; ++i)
@@ -582,7 +558,6 @@ buildFileModel(Model &model, LexedFile lx)
                 fn.file = fm.path;
                 fn.fileIndex = fileIndex;
                 fn.line = pending[g.nameTok].line;
-                fn.anno = annotationsIn(pending);
                 harvestParams(fn, pending, g.open, g.close);
                 const std::size_t close = matchBrace(toks, i);
                 fn.bodyBegin = i + 1;
@@ -623,18 +598,6 @@ buildFileModel(Model &model, LexedFile lx)
 
         pending.push_back(t);
         ++i;
-    }
-}
-
-void
-finalizeModel(Model &model)
-{
-    for (FunctionInfo &fn : model.functions) {
-        if (fn.className.empty())
-            continue;
-        auto it = model.declAnnotations.find(fn.qualName);
-        if (it != model.declAnnotations.end())
-            fn.anno |= it->second;
     }
 }
 

@@ -26,19 +26,10 @@
 namespace wormnet_lint
 {
 
-/** Phase annotations (the WN_* macros from src/common/contracts.hh). */
-enum PhaseAnno : unsigned
-{
-    kAnnoNone = 0,
-    kAnnoDecide = 1u << 0,
-    kAnnoCommit = 1u << 1,
-};
-
 struct MemberInfo
 {
     std::string name;
     std::string className;
-    bool shardLocal = false;    ///< WN_SHARD_LOCAL on the declaration
     bool unorderedType = false; ///< declared type hashes (unordered_*)
     int line = 0;
 };
@@ -57,7 +48,6 @@ struct FunctionInfo
     std::string className; ///< enclosing/qualifying class, may be ""
     std::string file;
     int line = 0;
-    unsigned anno = kAnnoNone;
     bool hasOstreamParam = false;
     /** Token index range of the body in its file's token stream,
      *  excluding the outer braces. */
@@ -97,9 +87,6 @@ struct Model
     std::vector<FunctionInfo> functions;
     /** className -> memberName -> info (merged across files). */
     std::map<std::string, std::map<std::string, MemberInfo>> classes;
-    /** Annotations harvested from in-class declarations, joined to
-     *  out-of-line definitions by (class, name). */
-    std::map<std::string, unsigned> declAnnotations; ///< "Cls::fn"
 
     /** Aliased text with one level of `using` aliases expanded,
      *  searched across every file (aliases are file-scoped in
@@ -115,10 +102,6 @@ struct Model
 
 /** Parse one lexed file into @p model (appends). */
 void buildFileModel(Model &model, LexedFile lx);
-
-/** Join declaration annotations onto definitions, fill call graph
- *  helpers. Call once after every file has been added. */
-void finalizeModel(Model &model);
 
 } // namespace wormnet_lint
 
