@@ -49,7 +49,9 @@ main(int argc, char **argv)
     table.addSeparator();
     for (const auto &r : rows) {
         SimulationConfig cfg = opts.base;
-        cfg.lengths = "s";
+        // Not = "s": GCC 12 raises a false -Wrestrict on a one-char
+        // literal assigned to a std::string.
+        cfg.lengths = std::string("s");
         cfg.vcs = r.vcs;
         cfg.injectionLimit = r.limiter;
         cfg.flitRate =

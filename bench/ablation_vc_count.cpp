@@ -35,7 +35,9 @@ main(int argc, char **argv)
     parallelFor(sweep.size(), opts.jobs, [&](std::size_t i) {
         SimulationConfig cfg = opts.base;
         cfg.vcs = sweep[i];
-        cfg.lengths = "s";
+        // Not = "s": GCC 12 raises a false -Wrestrict on a one-char
+        // literal assigned to a std::string.
+        cfg.lengths = std::string("s");
         cfg.flitRate = 0.857 * opts.satRate;
         cfg.detector = "ndm:32";
         cfg.recovery = "progressive";

@@ -70,7 +70,9 @@ parseBenchArgs(int argc, char **argv, const std::string &pattern,
                      opts.base.pattern.c_str());
         SimulationConfig probe = opts.base;
         probe.detector = "ndm:32";
-        probe.lengths = "s";
+        // Not = "s": GCC 12 raises a false -Wrestrict on a one-char
+        // literal assigned to a std::string.
+        probe.lengths = std::string("s");
         const ExperimentRunner runner({}, opts.jobs);
         opts.satRate = runner.findSaturationRate(
             probe, 0.02, opts.base.injPorts * 1.0);

@@ -79,68 +79,55 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     vcs_ = routerParams_.vcs;
     netPorts_ = routerParams_.netPorts;
 
-    routeActive_.init(n);
-    routablePerPort_.assign(std::size_t(n) * inPorts_, 0);
-    routablePerNode_.assign(n, 0);
-    switchActive_.init(n);
-    allocPerPort_.assign(std::size_t(n) * outPorts_, 0);
-    allocPerNode_.assign(n, 0);
-    allocOutMask_.assign(n, 0);
-    netAllocPerNode_.assign(n, 0);
-    injActive_.init(n);
-    injVcBusy_.assign(n, 0);
     detActive_.init(n);
     detectorIdleStable_ = detector_.idleCycleEndStable();
     detectorWantsCandidates_ = detector_.wantsBlockedCandidates();
     detectorWantsInjStall_ = detector_.wantsInjectionStallReports();
-    detectorDeadMask_.assign(n, 0);
 
     // Steady-state churn should never reallocate the per-cycle
     // scratch buffers.
     txNodes_.reserve(n);
-    nodeScratch_.reserve(n);
     creditReturns_.reserve(std::size_t(n) * outPorts_);
     faultKillQueue_.reserve(64);
     candScratch_.reserve(outPorts_);
     freeScratch_.reserve(std::size_t(outPorts_) * vcs_);
     blockedCandScratch_.reserve(outPorts_);
 
-    // The SoA occupancy masks and the route-candidate cache.
-    outAllocVcMask_.assign(std::size_t(n) * outPorts_, 0);
-    downFreeVcMask_.assign(std::size_t(n) * outPorts_, 0);
-    const std::uint32_t all_vcs = (std::uint32_t(1) << vcs_) - 1;
-    for (NodeId i = 0; i < n; ++i) {
-        for (PortId q = 0; q < outPorts_; ++q) {
-            // Ejection ports always accept; dangling mesh-edge ports
-            // never do; network links start with every lane free.
-            if (routers_[i].isEjectionPort(q) ||
-                routers_[i].downstream(q).valid())
-                downFreeVcMask_[std::size_t(i) * outPorts_ + q] =
-                    all_vcs;
-        }
-    }
     candMsg_.assign(std::size_t(n) * inPorts_ * vcs_, kInvalidMsg);
     candCount_.assign(candMsg_.size(), 0);
     candPort_.assign(candMsg_.size() * outPorts_, 0);
     candMask_.assign(candMsg_.size() * outPorts_, 0);
     candPortOv_.reserve(2 * outPorts_);
     candMaskOv_.reserve(2 * outPorts_);
-    routableVcMask_.assign(std::size_t(n) * inPorts_, 0);
-    switchCandVcMask_.assign(std::size_t(n) * outPorts_, 0);
-    injIncomplete_.assign(n, 0);
     injSlots_ = routerParams_.injPorts * vcs_;
 
-    // Full-level contract builds (WORMNET_CONTRACTS=full) run the
-    // brute-force active-set cross-check every cycle by default; the
-    // WORMNET_CHECK_ACTIVE_SETS environment variable overrides in
-    // either direction on any build.
-    checkActiveSets_ = WORMNET_INVARIANT_ENABLED;
+    // Every VC starts free: all derived state is zero except the
+    // downstream-free lanes (ejection ports always accept, dangling
+    // mesh-edge ports never do, network links start all free).
+    routeActive_.init(n);
+    injActive_.init(n);
+    routableVcMask_.assign(std::size_t(n) * inPorts_, 0);
+    outAllocVcMask_.assign(std::size_t(n) * outPorts_, 0);
+    downFreeVcMask_.assign(std::size_t(n) * outPorts_, 0);
+    switchCandVcMask_.assign(std::size_t(n) * outPorts_, 0);
+    allocOutMask_.assign(n, 0);
+    injVcBusy_.assign(n, 0);
+    injIncomplete_.assign(n, 0);
+    detectorDeadMask_.assign(n, 0);
+    const std::uint32_t all_vcs = (std::uint32_t(1) << vcs_) - 1;
+    for (NodeId i = 0; i < n; ++i) {
+        for (PortId q = 0; q < outPorts_; ++q) {
+            if (routers_[i].isEjectionPort(q) ||
+                routers_[i].downstream(q).valid())
+                downFreeVcMask_[std::size_t(i) * outPorts_ + q] =
+                    all_vcs;
+        }
+    }
+
+    // The one switch for the per-step audit (tests and CI only: it
+    // recomputes the whole network's derived state every cycle).
     if (const char *check = std::getenv("WORMNET_CHECK_ACTIVE_SETS"))
-        checkActiveSets_ = std::strcmp(check, "0") != 0;
-    // Same convention for the SoA mirror cross-check.
-    checkSoa_ = WORMNET_INVARIANT_ENABLED;
-    if (const char *check = std::getenv("WORMNET_CHECK_SOA"))
-        checkSoa_ = std::strcmp(check, "0") != 0;
+        auditEachStep_ = std::strcmp(check, "0") != 0;
 
     DetectorContext ctx;
     ctx.numRouters = n;
@@ -202,19 +189,24 @@ Network::syncRoutable(NodeId node, PortId port, VcId vc)
     if (want == ivc.inRouteSet)
         return;
     ivc.inRouteSet = want;
+    std::uint32_t *masks =
+        &routableVcMask_[std::size_t(node) * inPorts_];
     if (want) {
-        ++routablePerPort_[std::size_t(node) * inPorts_ + port];
-        routableVcMask_[std::size_t(node) * inPorts_ + port] |=
-            std::uint32_t(1) << vc;
-        if (routablePerNode_[node]++ == 0)
+        if (masks[port] == 0)
             routeActive_.insert(node);
-    } else {
-        --routablePerPort_[std::size_t(node) * inPorts_ + port];
-        routableVcMask_[std::size_t(node) * inPorts_ + port] &=
-            ~(std::uint32_t(1) << vc);
-        if (--routablePerNode_[node] == 0)
-            routeActive_.erase(node);
+        masks[port] |= std::uint32_t(1) << vc;
+        return;
     }
+    masks[port] &= ~(std::uint32_t(1) << vc);
+    if (masks[port] != 0)
+        return;
+    // The port went idle: the node stays routable while any other
+    // input port still holds a routable head.
+    for (PortId p = 0; p < inPorts_; ++p) {
+        if (masks[p] != 0)
+            return;
+    }
+    routeActive_.erase(node);
 }
 
 void
@@ -236,19 +228,16 @@ Network::allocOutputVc(NodeId node, PortId port, VcId vc, MsgId msg,
     out.msg = msg;
     out.srcPort = src_port;
     out.srcVc = src_vc;
-    outAllocVcMask_[std::size_t(node) * outPorts_ + port] |=
-        std::uint32_t(1) << vc;
+    std::uint32_t &alloc =
+        outAllocVcMask_[std::size_t(node) * outPorts_ + port];
+    if (alloc == 0)
+        allocOutMask_[node] |= PortMask(1) << port;
+    alloc |= std::uint32_t(1) << vc;
     // Fresh allocations always qualify: full credit budget, head
     // flit still buffered in the source VC, and routing never grants
     // a recovering head.
     switchCandVcMask_[std::size_t(node) * outPorts_ + port] |=
         std::uint32_t(1) << vc;
-    if (allocPerPort_[std::size_t(node) * outPorts_ + port]++ == 0)
-        allocOutMask_[node] |= PortMask(1) << port;
-    if (allocPerNode_[node]++ == 0)
-        switchActive_.insert(node);
-    if (port < netPorts_)
-        ++netAllocPerNode_[node];
     detActive_.insert(node);
 }
 
@@ -258,16 +247,13 @@ Network::releaseOutputVc(NodeId node, PortId port, VcId vc)
     OutputVc &out = routers_[node].outputVc(port, vc);
     WORMNET_ASSERT(out.allocated);
     out.release();
-    outAllocVcMask_[std::size_t(node) * outPorts_ + port] &=
-        ~(std::uint32_t(1) << vc);
     switchCandVcMask_[std::size_t(node) * outPorts_ + port] &=
         ~(std::uint32_t(1) << vc);
-    if (--allocPerPort_[std::size_t(node) * outPorts_ + port] == 0)
+    std::uint32_t &alloc =
+        outAllocVcMask_[std::size_t(node) * outPorts_ + port];
+    alloc &= ~(std::uint32_t(1) << vc);
+    if (alloc == 0)
         allocOutMask_[node] &= ~(PortMask(1) << port);
-    if (--allocPerNode_[node] == 0)
-        switchActive_.erase(node);
-    if (port < netPorts_)
-        --netAllocPerNode_[node];
 }
 
 void
@@ -381,13 +367,12 @@ Network::resetBlockedHeads()
     routeActive_.forEach([this](NodeId node) {
         Router &rt = routers_[node];
         for (PortId p = 0; p < inPorts_; ++p) {
-            if (routablePerPort_[std::size_t(node) * inPorts_ + p] ==
-                0)
-                continue;
-            for (VcId v = 0; v < vcs_; ++v) {
-                InputVc &vc = rt.inputVc(p, v);
-                if (vc.free() || vc.routed || vc.recovering)
-                    continue;
+            std::uint32_t vcm =
+                routableVcMask_[std::size_t(node) * inPorts_ + p];
+            while (vcm) {
+                InputVc &vc = rt.inputVc(
+                    p, static_cast<VcId>(__builtin_ctz(vcm)));
+                vcm &= vcm - 1;
                 // The next routing failure becomes a fresh first
                 // attempt under the new relation, re-seeding the
                 // detector's G/P (or blocked-since) state soundly.
@@ -495,10 +480,8 @@ Network::step()
     detectorCycleEnd();
     oracleTick();
 
-    if (checkActiveSets_)
-        verifyActiveSets();
-    if (checkSoa_)
-        verifySoaState();
+    if (auditEachStep_)
+        audit();
 
     ++now_;
 }
@@ -506,7 +489,20 @@ Network::step()
 bool
 Network::injectionAllowed(NodeId node) const
 {
-    return netAllocPerNode_[node] <= injectionLimitCount_;
+    const std::uint32_t *alloc =
+        &outAllocVcMask_[std::size_t(node) * outPorts_];
+    // Branch-free SWAR popcounts: std::popcount is a libgcc call on
+    // a baseline x86-64 target, and a bit-clearing loop mispredicts.
+    // Both measured slower on the saturated 8-ary 3-cube.
+    unsigned busy = 0;
+    for (PortId q = 0; q < netPorts_; ++q) {
+        std::uint32_t x = alloc[q];
+        x -= (x >> 1) & 0x55555555u;
+        x = (x & 0x33333333u) + ((x >> 2) & 0x33333333u);
+        x = (x + (x >> 4)) & 0x0f0f0f0fu;
+        busy += (x * 0x01010101u) >> 24;
+    }
+    return busy <= injectionLimitCount_;
 }
 
 void
@@ -672,6 +668,10 @@ Network::tryStartInjection(NodeId node)
 
     Router &rt = routers_[node];
     const unsigned vcs = routerParams_.vcs;
+    // Injection never allocates an output VC, so the limit's verdict
+    // holds for the whole call.
+    const bool limit_ok =
+        !params_.injectionLimit || injectionAllowed(node);
 
     for (unsigned pi = 0; pi < routerParams_.injPorts; ++pi) {
         const PortId port =
@@ -742,7 +742,7 @@ Network::tryStartInjection(NodeId node)
             continue;
         if (sourceQueues_[node].empty())
             continue;
-        if (params_.injectionLimit && !injectionAllowed(node))
+        if (!limit_ok)
             continue;
         VcId free_vc = kInvalidVc;
         for (VcId v = 0; v < vcs; ++v) {
@@ -987,11 +987,13 @@ Network::handleDetection(MsgId msg)
 void
 Network::switchAll()
 {
-    // Transfers can release output VCs (tail flits) but never
-    // allocate, so the set only shrinks while iterating — and a port
-    // whose last VC was just released yields no winner, same as the
-    // exhaustive scan.
-    switchActive_.forEach([this](NodeId node) {
+    // A plain scan of the node summaries: caching the nonzero ones in
+    // a NodeBitset measured no faster, even on 4,096 lightly loaded
+    // nodes. Transfers release only their own node's output VCs, so
+    // each node's mask is current when it is visited.
+    for (NodeId node = 0; node < nNodes_; ++node) {
+        if (allocOutMask_[node] == 0)
+            continue;
         Router &rt = routers_[node];
         const PortMask fault_mask = deadOutMask(node);
         // Ports without an allocated VC have no switch candidates;
@@ -1054,7 +1056,7 @@ Network::switchAll()
             txMask_[node] |= PortMask(1) << q;
             detActive_.insert(node);
         }
-    });
+    }
 }
 
 void
@@ -1066,10 +1068,6 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
     WORMNET_ASSERT(&vc == &rt.inputVc(in_port, in_vc) &&
                    &out == &rt.outputVc(out_port, out_vc));
 
-    // Re-deriving the dead mask per transfer is a double fault-model
-    // lookup — full-level only; switchAll already filtered the port.
-    WORMNET_INVARIANT(!portFaulty(rt.nodeId(), out_port));
-
     // Inlined popFlit(): the caller already resolved the input VC.
     const Flit f = vc.fifo.pop();
     const LinkEnd &up = rt.upstream(in_port);
@@ -1079,9 +1077,9 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
     if (isTailFlit(f.type)) {
         Message &m = messages_.get(f.msg);
         WORMNET_ASSERT(m.numLinks() > 0);
-        WORMNET_INVARIANT(m.link(0).node == rt.nodeId() &&
-                          m.link(0).port == in_port &&
-                          m.link(0).vc == in_vc);
+        WORMNET_ASSERT(m.link(0).node == rt.nodeId() &&
+                       m.link(0).port == in_port &&
+                       m.link(0).vc == in_vc);
         m.popFrontLink();
         releaseInputVc(rt.nodeId(), in_port, in_vc);
     }
@@ -1136,11 +1134,8 @@ Network::popFlit(Router &rt, PortId port, VcId v)
     if (isTailFlit(f.type)) {
         Message &m = messages_.get(f.msg);
         WORMNET_ASSERT(m.numLinks() > 0);
-        // Redundant recomputation of the tail position — full-level
-        // only, it costs a path-slab pointer chase per tail flit.
-        WORMNET_INVARIANT(m.link(0).node == rt.nodeId() &&
-                          m.link(0).port == port &&
-                          m.link(0).vc == v);
+        WORMNET_ASSERT(m.link(0).node == rt.nodeId() &&
+                       m.link(0).port == port && m.link(0).vc == v);
         m.popFrontLink();
         releaseInputVc(rt.nodeId(), port, v);
     }
@@ -1352,8 +1347,8 @@ Network::runDetectorCycleEnd()
     if (!detectorIdleStable_) {
         // The detector times even unoccupied channels (ungated PDM),
         // so every node must hear about every cycle. The occupied
-        // mask still comes from the allocation counters instead of a
-        // per-port output-VC scan.
+        // mask still comes from allocOutMask_ instead of a per-port
+        // output-VC scan.
         for (NodeId node = 0; node < numNodes(); ++node) {
             // Dead channels (faulted or admin-removed) are not timed:
             // they will never transmit, so their inactivity says
@@ -1446,184 +1441,253 @@ Network::oracleTick()
     deadlockTracked_ = deadlocked;
 }
 
-// The cross-check must fire whenever the runtime flag is on — even
-// on builds whose compile-time contract level stripped the check
-// macros — so it uses its own always-on check.
-#define ACTIVE_SET_CHECK(cond)                                         \
-    do {                                                               \
-        if (!(cond)) {                                                 \
-            panic("active-set cross-check failed: ", #cond, " at ",    \
-                  __FILE__, ":", __LINE__);                            \
-        }                                                              \
-    } while (0)
-
 void
-Network::verifyActiveSets() const
+Network::rebuildDerivedState()
 {
-    // Brute-force recomputation of every incrementally maintained
-    // structure; the full contract level (WORMNET_CONTRACTS=full)
-    // enables it by default and WORMNET_CHECK_ACTIVE_SETS=1 forces
-    // it on any build. Runs at the end of step(), when all sets are
-    // expected to be coherent.
-    std::size_t queued = 0;
-    std::size_t tx_nodes = 0;
-    for (NodeId node = 0; node < numNodes(); ++node) {
-        queued += sourceQueues_[node].size();
-        if (txMask_[node] != 0)
-            ++tx_nodes;
-        const Router &rt = routers_[node];
-
-        unsigned node_routable = 0;
-        unsigned inj_busy = 0;
+    const NodeId n = numNodes();
+    routeActive_.init(n);
+    injActive_.init(n);
+    routableVcMask_.assign(std::size_t(n) * inPorts_, 0);
+    outAllocVcMask_.assign(std::size_t(n) * outPorts_, 0);
+    downFreeVcMask_.assign(std::size_t(n) * outPorts_, 0);
+    switchCandVcMask_.assign(std::size_t(n) * outPorts_, 0);
+    allocOutMask_.assign(n, 0);
+    injVcBusy_.assign(n, 0);
+    injIncomplete_.assign(n, 0);
+    for (NodeId node = 0; node < n; ++node) {
+        Router &rt = routers_[node];
         for (PortId p = 0; p < inPorts_; ++p) {
-            unsigned port_routable = 0;
             for (VcId v = 0; v < vcs_; ++v) {
-                const InputVc &vc = rt.inputVc(p, v);
-                const bool want = vc.msg != kInvalidMsg &&
-                                  !vc.routed && !vc.recovering;
-                ACTIVE_SET_CHECK(vc.inRouteSet == want);
-                if (want)
-                    ++port_routable;
-                if (p >= netPorts_ && vc.msg != kInvalidMsg)
-                    ++inj_busy;
-            }
-            ACTIVE_SET_CHECK(routablePerPort_[std::size_t(node) * inPorts_ +
-                                       p] == port_routable);
-            node_routable += port_routable;
-        }
-        ACTIVE_SET_CHECK(routablePerNode_[node] == node_routable);
-        ACTIVE_SET_CHECK(routeActive_.contains(node) ==
-                  (node_routable > 0));
-
-        unsigned node_alloc = 0;
-        unsigned net_alloc = 0;
-        PortMask mask = 0;
-        for (PortId q = 0; q < outPorts_; ++q) {
-            unsigned port_alloc = 0;
-            for (VcId v = 0; v < vcs_; ++v) {
-                if (rt.outputVc(q, v).allocated) {
-                    ++port_alloc;
-                    if (q < netPorts_)
-                        ++net_alloc;
+                InputVc &vc = rt.inputVc(p, v);
+                vc.inRouteSet = false;
+                syncRoutable(node, p, v);
+                if (vc.free())
+                    continue;
+                // Derived caches the checkpoint format omits.
+                const Message &m = messages_.get(vc.msg);
+                vc.dst = m.dst;
+                if (p >= netPorts_) {
+                    ++injVcBusy_[node];
+                    vc.injDone = m.flitsInjected >= m.length;
+                    if (!vc.injDone)
+                        ++injIncomplete_[node];
                 }
             }
-            ACTIVE_SET_CHECK(allocPerPort_[std::size_t(node) * outPorts_ +
-                                    q] == port_alloc);
-            if (port_alloc > 0)
-                mask |= PortMask(1) << q;
-            node_alloc += port_alloc;
         }
-        ACTIVE_SET_CHECK(allocOutMask_[node] == mask);
-        ACTIVE_SET_CHECK(allocPerNode_[node] == node_alloc);
-        ACTIVE_SET_CHECK(switchActive_.contains(node) == (node_alloc > 0));
-        ACTIVE_SET_CHECK(netAllocPerNode_[node] == net_alloc);
-
-        ACTIVE_SET_CHECK(injVcBusy_[node] == inj_busy);
-        ACTIVE_SET_CHECK(injActive_.contains(node) ==
-                  (!sourceQueues_[node].empty() || inj_busy > 0));
-
-        // detActive_ is checked for soundness, not exact equality: it
-        // may hold an idle node for one trailing cycle-end call, but
-        // must cover every node the detector still needs to see.
-        if (node_alloc > 0 || txMask_[node] != 0)
-            ACTIVE_SET_CHECK(detActive_.contains(node));
+        for (PortId q = 0; q < outPorts_; ++q) {
+            const std::size_t idx = std::size_t(node) * outPorts_ + q;
+            for (VcId v = 0; v < vcs_; ++v) {
+                const std::uint32_t bit = std::uint32_t(1) << v;
+                if (downstreamVcFree(rt, q, v))
+                    downFreeVcMask_[idx] |= bit;
+                const OutputVc &ovc = rt.outputVc(q, v);
+                if (!ovc.allocated)
+                    continue;
+                outAllocVcMask_[idx] |= bit;
+                const InputVc &src = rt.inputVc(ovc.srcPort, ovc.srcVc);
+                if ((rt.isEjectionPort(q) || ovc.credits > 0) &&
+                    !src.recovering && !src.fifo.empty())
+                    switchCandVcMask_[idx] |= bit;
+            }
+            if (outAllocVcMask_[idx] != 0)
+                allocOutMask_[node] |= PortMask(1) << q;
+        }
+        syncInjActive(node);
+        // A restored detector already reflects the dead ports at
+        // save time; only the Network's view of it is rebuilt.
+        detectorDeadMask_[node] = deadOutMask(node);
     }
-    ACTIVE_SET_CHECK(totalQueuedCount_ == queued);
-    ACTIVE_SET_CHECK(txNodes_.size() == tx_nodes);
 }
 
 void
-Network::verifySoaState() const
+Network::audit() const
 {
-    // Brute-force recomputation of everything the SoA layout derives
-    // incrementally: the per-port VC bitmasks routeOne consumes, the
-    // per-VC dst/injDone caches, and the route-candidate cache. The
-    // full contract level enables it by default; WORMNET_CHECK_SOA=1
-    // forces it on any build. Runs at the end of step(), like
-    // verifyActiveSets().
+    // Per-message tallies accumulated while walking the routers.
+    std::vector<std::size_t> vc_count(messages_.size(), 0);
+    std::vector<std::size_t> flit_count(messages_.size(), 0);
     std::vector<RouteCandidate> fresh;
+    std::size_t queued = 0;
+    std::size_t tx_nodes = 0;
+    const unsigned depth = routerParams_.bufDepth;
+
     for (NodeId node = 0; node < numNodes(); ++node) {
         const Router &rt = routers_[node];
-
         // Routers must still be views over the global store.
-        ACTIVE_SET_CHECK(rt.inputVcs() == vcStore_.inBase(node));
-        ACTIVE_SET_CHECK(rt.outputVcs() == vcStore_.outBase(node));
+        WORMNET_ASSERT(rt.inputVcs() == vcStore_.inBase(node) &&
+                       rt.outputVcs() == vcStore_.outBase(node));
+        const PortMask dead = deadOutMask(node);
+        WORMNET_ASSERT(detectorDeadMask_[node] == dead, " at ", node);
+        // Fault state only changes at the start of step(), and the
+        // switch phase skips dead ports: no flit crossed one.
+        WORMNET_ASSERT((txMask_[node] & dead) == 0, " at ", node);
+        queued += sourceQueues_[node].size();
+        tx_nodes += txMask_[node] != 0;
 
-        for (PortId q = 0; q < outPorts_; ++q) {
-            std::uint32_t alloc = 0;
-            std::uint32_t dfree = 0;
-            std::uint32_t scand = 0;
-            for (VcId v = 0; v < vcs_; ++v) {
-                const OutputVc &ovc = rt.outputVc(q, v);
-                if (ovc.allocated)
-                    alloc |= std::uint32_t(1) << v;
-                if (downstreamVcFree(rt, q, v))
-                    dfree |= std::uint32_t(1) << v;
-                if (ovc.allocated &&
-                    (rt.isEjectionPort(q) || ovc.credits > 0)) {
-                    const InputVc &src =
-                        rt.inputVc(ovc.srcPort, ovc.srcVc);
-                    if (!src.recovering && !src.fifo.empty())
-                        scand |= std::uint32_t(1) << v;
-                }
-            }
-            const std::size_t idx =
-                std::size_t(node) * outPorts_ + q;
-            ACTIVE_SET_CHECK(outAllocVcMask_[idx] == alloc);
-            ACTIVE_SET_CHECK(downFreeVcMask_[idx] == dfree);
-            ACTIVE_SET_CHECK(switchCandVcMask_[idx] == scand);
-        }
-
-        unsigned busy = 0;
-        unsigned incomplete = 0;
+        bool any_routable = false;
+        unsigned inj_busy = 0;
+        unsigned inj_incomplete = 0;
         for (PortId p = 0; p < inPorts_; ++p) {
             std::uint32_t routable = 0;
             for (VcId v = 0; v < vcs_; ++v) {
                 const InputVc &vc = rt.inputVc(p, v);
-                const std::size_t flat =
-                    (std::size_t(node) * inPorts_ + p) * vcs_ + v;
-                if (vc.inRouteSet)
-                    routable |= std::uint32_t(1) << v;
-                if (vc.msg != kInvalidMsg) {
-                    const Message &m = messages_.get(vc.msg);
-                    ACTIVE_SET_CHECK(vc.dst == m.dst);
-                    if (p >= netPorts_) {
-                        ++busy;
-                        ACTIVE_SET_CHECK(vc.injDone ==
-                                         (m.flitsInjected >=
-                                          m.length));
-                        if (!vc.injDone)
-                            ++incomplete;
-                    }
+                const bool want =
+                    !vc.free() && !vc.routed && !vc.recovering;
+                WORMNET_ASSERT(vc.inRouteSet == want, " at ", node,
+                               ":", p, ":", unsigned(v));
+                routable |= std::uint32_t(want) << v;
+                if (vc.free()) {
+                    WORMNET_ASSERT(vc.fifo.empty() && !vc.routed &&
+                                       vc.dst == kInvalidNode &&
+                                       !vc.injDone,
+                                   " at ", node, ":", p, ":",
+                                   unsigned(v));
                 } else {
-                    ACTIVE_SET_CHECK(vc.dst == kInvalidNode);
-                    ACTIVE_SET_CHECK(!vc.injDone);
+                    WORMNET_ASSERT(vc.msg < messages_.size());
+                    const Message &m = messages_.get(vc.msg);
+                    WORMNET_ASSERT(vc.dst == m.dst &&
+                                       (vc.fifo.empty() ||
+                                        vc.fifo.front().msg == vc.msg),
+                                   " at ", node, ":", p, ":",
+                                   unsigned(v));
+                    ++vc_count[vc.msg];
+                    flit_count[vc.msg] += vc.fifo.size();
+                    if (p >= netPorts_) {
+                        ++inj_busy;
+                        WORMNET_ASSERT(vc.injDone == (m.flitsInjected >=
+                                                      m.length),
+                                       " at ", node, ":", p, ":",
+                                       unsigned(v));
+                        inj_incomplete += !vc.injDone;
+                    }
+                    if (vc.routed) {
+                        const OutputVc &out =
+                            rt.outputVc(vc.outPort, vc.outVc);
+                        WORMNET_ASSERT(out.allocated &&
+                                           out.msg == vc.msg &&
+                                           out.srcPort == p &&
+                                           out.srcVc == v,
+                                       " at ", node, ":", p, ":",
+                                       unsigned(v));
+                    }
                 }
                 // A cache entry must reproduce a fresh route() call
                 // for its occupant (ids are never recycled, so the
                 // cached msg pins the dst even after delivery).
+                const std::size_t flat =
+                    (std::size_t(node) * inPorts_ + p) * vcs_ + v;
                 if (candMsg_[flat] == kInvalidMsg)
                     continue;
-                const Message &cm = messages_.get(candMsg_[flat]);
-                routing_->route(node, cm.dst, p, v, fresh);
-                ACTIVE_SET_CHECK(fresh.size() <= outPorts_);
-                ACTIVE_SET_CHECK(candCount_[flat] == fresh.size());
-                for (std::size_t i = 0; i < fresh.size(); ++i) {
-                    ACTIVE_SET_CHECK(
-                        candPort_[flat * outPorts_ + i] ==
-                        fresh[i].port);
-                    ACTIVE_SET_CHECK(
-                        candMask_[flat * outPorts_ + i] ==
-                        fresh[i].vcMask);
-                }
+                routing_->route(node, messages_.get(candMsg_[flat]).dst,
+                                p, v, fresh);
+                bool same = candCount_[flat] == fresh.size();
+                for (std::size_t i = 0; same && i < fresh.size(); ++i)
+                    same = candPort_[flat * outPorts_ + i] ==
+                               fresh[i].port &&
+                           candMask_[flat * outPorts_ + i] ==
+                               fresh[i].vcMask;
+                WORMNET_ASSERT(same, " at ", node, ":", p, ":",
+                               unsigned(v));
             }
-            ACTIVE_SET_CHECK(
+            WORMNET_ASSERT(
                 routableVcMask_[std::size_t(node) * inPorts_ + p] ==
-                routable);
+                    routable,
+                " at ", node, ":", p);
+            any_routable |= routable != 0;
         }
-        ACTIVE_SET_CHECK(injVcBusy_[node] == busy);
-        ACTIVE_SET_CHECK(injIncomplete_[node] == incomplete);
+        WORMNET_ASSERT(routeActive_.contains(node) == any_routable &&
+                           injVcBusy_[node] == inj_busy &&
+                           injIncomplete_[node] == inj_incomplete &&
+                           injActive_.contains(node) ==
+                               (!sourceQueues_[node].empty() ||
+                                inj_busy > 0),
+                       " at ", node);
+
+        PortMask alloc_ports = 0;
+        for (PortId q = 0; q < outPorts_; ++q) {
+            std::uint32_t alloc = 0;
+            std::uint32_t dfree = 0;
+            std::uint32_t scand = 0;
+            const bool eject = rt.isEjectionPort(q);
+            const LinkEnd &down = rt.downstream(q);
+            for (VcId v = 0; v < vcs_; ++v) {
+                const OutputVc &out = rt.outputVc(q, v);
+                // Credits mirror downstream occupancy; ejection
+                // ports never consume them.
+                if (eject) {
+                    WORMNET_ASSERT(out.credits == depth, " at ", node,
+                                   ":", q);
+                } else if (down.valid()) {
+                    const InputVc &dvc =
+                        routers_[down.node].inputVc(down.port, v);
+                    WORMNET_ASSERT(out.credits ==
+                                           depth - dvc.fifo.size() &&
+                                       (!out.allocated || dvc.free() ||
+                                        dvc.msg == out.msg),
+                                   " at ", node, ":", q, ":",
+                                   unsigned(v));
+                }
+                const std::uint32_t bit = std::uint32_t(1) << v;
+                if (downstreamVcFree(rt, q, v))
+                    dfree |= bit;
+                if (!out.allocated)
+                    continue;
+                alloc |= bit;
+                const InputVc &src = rt.inputVc(out.srcPort, out.srcVc);
+                WORMNET_ASSERT(!((dead >> q) & 1u) && src.routed &&
+                                   src.outPort == q && src.outVc == v &&
+                                   src.msg == out.msg,
+                               " at ", node, ":", q, ":", unsigned(v));
+                if ((eject || out.credits > 0) && !src.recovering &&
+                    !src.fifo.empty())
+                    scand |= bit;
+            }
+            const std::size_t idx = std::size_t(node) * outPorts_ + q;
+            WORMNET_ASSERT(outAllocVcMask_[idx] == alloc &&
+                               downFreeVcMask_[idx] == dfree &&
+                               switchCandVcMask_[idx] == scand,
+                           " at ", node, ":", q);
+            if (alloc != 0)
+                alloc_ports |= PortMask(1) << q;
+        }
+        // detActive_ may hold an idle node for one trailing cycle-end
+        // call, but must cover every node the detector still needs.
+        WORMNET_ASSERT(allocOutMask_[node] == alloc_ports &&
+                           (detActive_.contains(node) ||
+                            (alloc_ports == 0 && txMask_[node] == 0)),
+                       " at ", node);
     }
+    WORMNET_ASSERT(totalQueuedCount_ == queued &&
+                   txNodes_.size() == tx_nodes);
+
+    std::size_t live = 0;
+    for (MsgId id = 0; id < messages_.size(); ++id) {
+        const Message &m = messages_.get(id);
+        if (m.status != MsgStatus::Active &&
+            m.status != MsgStatus::Recovering) {
+            WORMNET_ASSERT(m.numLinks() == 0 && vc_count[id] == 0,
+                           " message ", id);
+            continue;
+        }
+        ++live;
+        WORMNET_ASSERT(m.numLinks() == vc_count[id] &&
+                           m.flitsInjected >= m.flitsEjected &&
+                           m.flitsInjected - m.flitsEjected ==
+                               flit_count[id],
+                       " message ", id);
+        // Each link names a VC this worm occupies, and links are
+        // wired tail-to-head along real links: each non-injection
+        // link's upstream router hosts the previous one.
+        for (std::size_t i = 0; i < m.numLinks(); ++i) {
+            const PathLink &l = m.link(i);
+            const LinkEnd &up = routers_[l.node].upstream(l.port);
+            WORMNET_ASSERT(routers_[l.node].inputVc(l.port, l.vc).msg ==
+                                   id &&
+                               (i == 0 || (up.valid() &&
+                                           up.node == m.link(i - 1).node)),
+                           " message ", id, " hop ", i);
+        }
+    }
+    WORMNET_ASSERT(inFlight_ == live);
 }
 
 void
@@ -1758,96 +1822,7 @@ Network::loadState(Deserializer &d)
         fatal("recovery manager attached but checkpoint has none");
     }
 
-    // Rebuild everything derived from the restored router state.
-    const NodeId n = numNodes();
-    routeActive_.init(n);
-    std::fill(routablePerPort_.begin(), routablePerPort_.end(), 0);
-    std::fill(routablePerNode_.begin(), routablePerNode_.end(), 0);
-    switchActive_.init(n);
-    std::fill(allocPerPort_.begin(), allocPerPort_.end(), 0);
-    std::fill(allocPerNode_.begin(), allocPerNode_.end(), 0);
-    std::fill(allocOutMask_.begin(), allocOutMask_.end(), 0);
-    std::fill(netAllocPerNode_.begin(), netAllocPerNode_.end(), 0);
-    injActive_.init(n);
-    std::fill(injVcBusy_.begin(), injVcBusy_.end(), 0);
-    std::fill(outAllocVcMask_.begin(), outAllocVcMask_.end(), 0);
-    std::fill(routableVcMask_.begin(), routableVcMask_.end(), 0);
-    std::fill(switchCandVcMask_.begin(), switchCandVcMask_.end(), 0);
-    std::fill(injIncomplete_.begin(), injIncomplete_.end(), 0);
-    const std::uint32_t all_vcs = (std::uint32_t(1) << vcs_) - 1;
-    for (NodeId node = 0; node < n; ++node) {
-        Router &rt = routers_[node];
-        for (PortId p = 0; p < inPorts_; ++p) {
-            for (VcId v = 0; v < vcs_; ++v) {
-                InputVc &vc = rt.inputVc(p, v);
-                const bool want = vc.msg != kInvalidMsg &&
-                                  !vc.routed && !vc.recovering;
-                if (want) {
-                    vc.inRouteSet = true;
-                    ++routablePerPort_[std::size_t(node) * inPorts_ +
-                                       p];
-                    routableVcMask_[std::size_t(node) * inPorts_ +
-                                    p] |= std::uint32_t(1) << v;
-                    if (routablePerNode_[node]++ == 0)
-                        routeActive_.insert(node);
-                }
-                if (vc.msg != kInvalidMsg) {
-                    // Derived caches the wire format omits.
-                    const Message &m = messages_.get(vc.msg);
-                    vc.dst = m.dst;
-                    if (p >= netPorts_) {
-                        ++injVcBusy_[node];
-                        vc.injDone = m.flitsInjected >= m.length;
-                        if (!vc.injDone)
-                            ++injIncomplete_[node];
-                    }
-                }
-            }
-        }
-        for (PortId q = 0; q < outPorts_; ++q) {
-            // A lane is downstream-free when its receiving input VC
-            // is unoccupied with an empty buffer (always for
-            // ejection, never for dangling mesh-edge ports).
-            std::uint32_t dfree = 0;
-            if (rt.isEjectionPort(q)) {
-                dfree = all_vcs;
-            } else if (rt.downstream(q).valid()) {
-                const LinkEnd &down = rt.downstream(q);
-                for (VcId v = 0; v < vcs_; ++v) {
-                    const InputVc &dvc =
-                        routers_[down.node].inputVc(down.port, v);
-                    if (dvc.free() && dvc.fifo.empty())
-                        dfree |= std::uint32_t(1) << v;
-                }
-            }
-            downFreeVcMask_[std::size_t(node) * outPorts_ + q] =
-                dfree;
-            for (VcId v = 0; v < vcs_; ++v) {
-                const OutputVc &ovc = rt.outputVc(q, v);
-                if (!ovc.allocated)
-                    continue;
-                outAllocVcMask_[std::size_t(node) * outPorts_ + q] |=
-                    std::uint32_t(1) << v;
-                const InputVc &src =
-                    rt.inputVc(ovc.srcPort, ovc.srcVc);
-                if ((rt.isEjectionPort(q) || ovc.credits > 0) &&
-                    !src.recovering && !src.fifo.empty())
-                    switchCandVcMask_[std::size_t(node) * outPorts_ +
-                                      q] |= std::uint32_t(1) << v;
-                if (allocPerPort_[std::size_t(node) * outPorts_ +
-                                  q]++ == 0)
-                    allocOutMask_[node] |= PortMask(1) << q;
-                if (allocPerNode_[node]++ == 0)
-                    switchActive_.insert(node);
-                if (q < netPorts_)
-                    ++netAllocPerNode_[node];
-            }
-        }
-        syncInjActive(node);
-        // The serialized detector state already reflects the dead
-        // ports at save time; only the derived mirror is rebuilt.
-        detectorDeadMask_[node] = deadOutMask(node);
-    }
+    rebuildDerivedState();
     invalidateRouteCache();
 
     // Per-cycle scratch and memoisation: clean slate.

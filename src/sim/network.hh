@@ -266,8 +266,8 @@ class Network
     /**
      * Flag @p msg's head input VC as draining into the recovery
      * buffer. Recovery managers must use this instead of writing
-     * InputVc::recovering directly so the Network's activity sets
-     * stay consistent.
+     * InputVc::recovering directly so the Network's derived masks
+     * and sets stay consistent.
      */
     void setHeadRecovering(MsgId msg);
 
@@ -298,6 +298,20 @@ class Network
     bool downstreamVcFree(const Router &rt, PortId out_port,
                           VcId vc) const;
 
+    /**
+     * Recompute every derived structure (VC masks, node sets,
+     * injection and queue counters, cached VC fields, route cache)
+     * from router VCs, messages and source queues in one walk, and
+     * check the structural invariants between them: routed input and
+     * allocated output VCs point at each other, credits match
+     * downstream occupancy, live worms' paths run along real links
+     * and conserve flits, nothing holds or crosses a dead link.
+     * Panics (PanicError) on the first divergence. Call at a step()
+     * boundary; WORMNET_CHECK_ACTIVE_SETS set (to anything but "0")
+     * when the Network is built runs it at the end of every step().
+     */
+    void audit() const;
+
     /** @name Phase timers (microbenchmark support).
      *
      * When enabled, step() accumulates wall-clock nanoseconds spent
@@ -325,7 +339,7 @@ class Network
      * saveState() captures every bit of dynamic state at a step()
      * boundary: the clock, Rng streams, all router VC/buffer state,
      * the message store, source queues, pending re-injections,
-     * statistics, activity sets, and the attached detector, recovery
+     * statistics, detActive_, and the attached detector, recovery
      * manager and fault model. Static configuration (topology,
      * parameters, link wiring) is not written — the checkpoint
      * header's config string guarantees the loading network was
@@ -402,17 +416,19 @@ class Network
     /** Injection-limitation check for @p node. */
     bool injectionAllowed(NodeId node) const;
 
-    /** @name Activity-set maintenance (see docs/MECHANISMS.md).
+    /** @name Derived-state maintenance (see docs/MECHANISMS.md).
      *
-     * The per-cycle phases iterate small active sets instead of
-     * scanning every node x port x VC. Membership is updated at the
-     * state transitions below; every set iterates in ascending node
-     * order (and the unmodified inner port/VC order), which keeps the
-     * cycle-level behaviour bitwise-identical to exhaustive scans.
+     * The per-cycle phases iterate the per-port VC masks and the
+     * node sets instead of scanning every node x port x VC. Both are
+     * updated at the state transitions below; every set iterates in
+     * ascending node order (and the unmodified inner port/VC order),
+     * which keeps the cycle-level behaviour bitwise-identical to
+     * exhaustive scans.
      */
     /// @{
-    /** Re-derive (node, port, vc)'s routable-head set membership
-     *  after any mutation of its msg/routed/recovering state. */
+    /** Re-derive (node, port, vc)'s routable-head mask bit and
+     *  @p node's routeActive_ membership after any mutation of its
+     *  msg/routed/recovering state. */
     void syncRoutable(NodeId node, PortId port, VcId vc);
 
     /** Re-derive @p node's active-injector set membership from its
@@ -420,11 +436,12 @@ class Network
     void syncInjActive(NodeId node);
 
     /** Allocate output (port, vc) of @p node to @p msg coming from
-     *  input (src_port, src_vc), with switch/detector set upkeep. */
+     *  input (src_port, src_vc), with mask and node-set upkeep. */
     void allocOutputVc(NodeId node, PortId port, VcId vc, MsgId msg,
                        PortId src_port, VcId src_vc);
 
-    /** Release output (port, vc) of @p node, with set upkeep. */
+    /** Release output (port, vc) of @p node, with mask and node-set
+     *  upkeep. */
     void releaseOutputVc(NodeId node, PortId port, VcId vc);
 
     /** Release input (port, vc) of @p node (worm fully left): resets
@@ -441,13 +458,6 @@ class Network
 
     /** Pop the front of @p node's source queue with counter upkeep. */
     MsgId popSource(NodeId node);
-
-    /** Cross-check every active set against a brute-force scan
-     *  (a full-level structural invariant: on by default when built
-     *  with WORMNET_CONTRACTS=full, and forced on/off by the
-     *  WORMNET_CHECK_ACTIVE_SETS environment variable; panics on
-     *  the first divergence). */
-    void verifyActiveSets() const;
     /// @}
 
     /** Record a deadlock verdict for @p msg and invoke recovery. */
@@ -532,13 +542,17 @@ class Network
     /** Fault-filtered candidates handed to onBlockedCandidates(). */
     std::vector<BlockedCandidate> blockedCandScratch_;
 
-    /** @name Activity-driven core state.
+    /** @name Derived hot-path state.
      *
-     * Counters are exact (every transition goes through the helpers
-     * above); the bitsets are derived from them. detActive_ is the
-     * one history-bearing set: a node stays in it for one trailing
-     * cycle-end call after going idle, so idle-stable detectors see
-     * their final (0, 0) reset before the node is dropped.
+     * Everything below is derived from router VCs, messages and
+     * source queues: checkpoints do not carry it (except detActive_),
+     * loadState() rebuilds it and audit() recomputes it. The per-port
+     * VC masks are the one layer of VC occupancy; the node summaries
+     * (routeActive_, allocOutMask_) change only when a port mask goes
+     * 0 <-> nonzero. detActive_ is the one history-bearing set: a
+     * node stays in it for one trailing cycle-end call after going
+     * idle, so idle-stable detectors see their final (0, 0) reset
+     * before the node is dropped.
      */
     /// @{
     /** Cached router shape (hoisted out of the per-cycle loops). */
@@ -547,26 +561,51 @@ class Network
     unsigned vcs_ = 0;
     unsigned netPorts_ = 0;
 
-    /** Nodes with >= 1 input VC holding an unrouted head. */
+    /** Per (node, in_port): bit v set when inputVc(port, v) holds an
+     *  unrouted, non-recovering head (== inRouteSet). Lets the
+     *  routing phase visit exactly the routable VCs. */
+    std::vector<std::uint32_t> routableVcMask_;
+    /** Nodes with a nonzero routableVcMask_ on some input port. */
     NodeBitset routeActive_;
-    /** Routable input VCs per (node, in_port) / per node. */
-    std::vector<std::uint16_t> routablePerPort_;
-    std::vector<std::uint16_t> routablePerNode_;
 
-    /** Nodes with >= 1 allocated output VC. */
-    NodeBitset switchActive_;
-    /** Allocated output VCs per (node, out_port) / per node, the
-     *  derived per-node port mask, and the network-ports-only count
-     *  feeding the injection-limitation check. */
-    std::vector<std::uint8_t> allocPerPort_;
-    std::vector<std::uint16_t> allocPerNode_;
+    /** Per (node, out_port): bit v set when outputVc(port, v) is
+     *  allocated, so the routing phase tests a whole physical
+     *  channel in one load; popcounts over the network ports feed
+     *  the injection-limitation check. */
+    std::vector<std::uint32_t> outAllocVcMask_;
+    /** Per node: bit q set when outAllocVcMask_ of port q is nonzero
+     *  (the detector's occupied mask and the switch phase's ports). */
     std::vector<PortMask> allocOutMask_;
-    std::vector<std::uint16_t> netAllocPerNode_;
 
+    /** Per (node, out_port): bit v set when the downstream input VC
+     *  on lane v can accept a new worm (free with an empty buffer).
+     *  All-ones for ejection ports, zero for dangling mesh-edge
+     *  ports; maintained at head-enqueue and input-VC release. */
+    std::vector<std::uint32_t> downFreeVcMask_;
+    /** Per (node, out_port): bit v set when outputVc(port, v) is
+     *  allocated, has credit to move a flit (ejection ports don't
+     *  consume credits, so any allocation qualifies there), and its
+     *  routed source VC holds a buffered flit and is not recovering.
+     *  The switch arbiter scans only these; the cycle-local
+     *  conditions (flit ready this cycle, not routed this very
+     *  cycle) are re-checked on load. Blocked worms stretched thin
+     *  — credits in hand but nothing buffered to send — carry a
+     *  clear bit, which is what keeps saturated-network switch
+     *  scans short. */
+    std::vector<std::uint32_t> switchCandVcMask_;
+
+    /** Per node: occupied injection-port VCs. */
+    std::vector<std::uint16_t> injVcBusy_;
+    /** Per node: occupied injection-port VCs still mid-injection
+     *  (flitsInjected < length). When every injection VC is busy and
+     *  none is mid-injection, tryStartInjection can do nothing —
+     *  the common state of a saturated node — and is skipped. */
+    std::vector<std::uint16_t> injIncomplete_;
+    /** Injection VC slots per node (injPorts * vcs). */
+    unsigned injSlots_ = 0;
     /** Nodes with a nonempty source queue or an occupied injection
      *  VC (the only ones tryStartInjection can do anything for). */
     NodeBitset injActive_;
-    std::vector<std::uint16_t> injVcBusy_;
 
     /** Nodes owed a detector cycle-end call (active now, or active
      *  at their previous call: one trailing reset call). */
@@ -582,35 +621,9 @@ class Network
      *  the next step() instead of re-filling the whole vector). */
     std::vector<NodeId> txNodes_;
 
-    /** Snapshot buffers for iterating the bitsets. */
-    std::vector<NodeId> nodeScratch_;
-
-    /** Messages waiting in all source queues (satellite: totalQueued
-     *  used to re-sum every queue per call). */
+    /** Messages waiting in all source queues (the running sum
+     *  behind totalQueued()). */
     std::size_t totalQueuedCount_ = 0;
-
-    /** Brute-force cross-check of every set each cycle. */
-    bool checkActiveSets_ = false;
-    /// @}
-
-    /** @name Struct-of-arrays hot-path state.
-     *
-     * Incrementally maintained VC-occupancy masks plus a per-input-VC
-     * route-candidate cache. All of it is derived from router/message
-     * state (rebuilt on checkpoint load, cross-checked against a
-     * brute-force recomputation by verifySoaState() when built with
-     * WORMNET_CONTRACTS=full or forced via WORMNET_CHECK_SOA=1).
-     */
-    /// @{
-    /** Per (node, out_port): bit v set when outputVc(port, v) is
-     *  allocated. Mirrors allocPerPort_ at VC granularity so the
-     *  routing phase tests a whole physical channel in one load. */
-    std::vector<std::uint32_t> outAllocVcMask_;
-    /** Per (node, out_port): bit v set when the downstream input VC
-     *  on lane v can accept a new worm (free with an empty buffer).
-     *  All-ones for ejection ports, zero for dangling mesh-edge
-     *  ports; maintained at head-enqueue and input-VC release. */
-    std::vector<std::uint32_t> downFreeVcMask_;
 
     /** Route-candidate cache, keyed by flat input-VC id: the routing
      *  function is pure in (node, dst, in_port, in_vc), so a blocked
@@ -626,38 +639,19 @@ class Network
     std::vector<std::uint16_t> candPortOv_;
     std::vector<std::uint32_t> candMaskOv_;
 
-    /** Per (node, in_port): bit v set when inputVc(port, v) holds an
-     *  unrouted, non-recovering head (== inRouteSet). Lets the
-     *  routing phase visit exactly the routable VCs. */
-    std::vector<std::uint32_t> routableVcMask_;
-    /** Per (node, out_port): bit v set when outputVc(port, v) is
-     *  allocated, has credit to move a flit (ejection ports don't
-     *  consume credits, so any allocation qualifies there), and its
-     *  routed source VC holds a buffered flit and is not recovering.
-     *  The switch arbiter scans only these; the cycle-local
-     *  conditions (flit ready this cycle, not routed this very
-     *  cycle) are re-checked on load. Blocked worms stretched thin
-     *  — credits in hand but nothing buffered to send — carry a
-     *  clear bit, which is what keeps saturated-network switch
-     *  scans short. */
-    std::vector<std::uint32_t> switchCandVcMask_;
-    /** Per node: occupied injection-port VCs still mid-injection
-     *  (flitsInjected < length). When every injection VC is busy and
-     *  none is mid-injection, tryStartInjection can do nothing —
-     *  the common state of a saturated node — and is skipped. */
-    std::vector<std::uint16_t> injIncomplete_;
-    /** Injection VC slots per node (injPorts * vcs). */
-    unsigned injSlots_ = 0;
-
-    /** Brute-force cross-check of the SoA mirrors each cycle. */
-    bool checkSoa_ = false;
+    /** Run audit() at the end of every step(). */
+    bool auditEachStep_ = false;
 
     /** Drop every candidate-cache entry (routing relation changed
      *  or state restored from a checkpoint). */
     void invalidateRouteCache();
-    void verifySoaState() const;
-    /// @}
 
+    /** Recompute the VC masks, the node sets other than the
+     *  history-bearing detActive_, the injection counters,
+     *  detectorDeadMask_ and the cached InputVc fields from router
+     *  VCs, messages and source queues (checkpoint load). */
+    void rebuildDerivedState();
+    /// @}
     /** @name Phase-timer state (see enablePhaseTimers()). */
     /// @{
     bool phaseTimers_ = false;

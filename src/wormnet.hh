@@ -34,7 +34,6 @@
 #include "sim/network.hh"
 #include "sim/oracle.hh"
 #include "sim/trace.hh"
-#include "sim/validate.hh"
 #include "topology/mesh.hh"
 #include "topology/mixed_torus.hh"
 #include "topology/topology.hh"

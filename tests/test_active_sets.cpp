@@ -6,42 +6,25 @@
  * running source-queue counter).
  *
  * Every test here constructs its Network with
- * WORMNET_CHECK_ACTIVE_SETS=1, which makes Network::step() recompute
- * each structure by brute force at the end of every cycle and panic
- * on any divergence — so simply running mixed traffic, faults and
- * recovery under the flag is the assertion. The scenarios are chosen
+ * WORMNET_CHECK_ACTIVE_SETS=1, which makes Network::step() run
+ * Network::audit() (recompute each structure by brute force) at the
+ * end of every cycle and panic on any divergence — so simply running
+ * mixed traffic, faults and recovery under the flag is the
+ * assertion. The scenarios are chosen
  * to cross every maintenance path: injection, routing grants,
  * tail-flit releases, recovery drains, kills with re-injection and
  * fault-stranded worms.
  */
 
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
+#include "audit_guard.hh"
 #include "core/simulation.hh"
-#include "sim/validate.hh"
 
 namespace wormnet
 {
 namespace
 {
-
-/** Enables the per-cycle brute-force cross-check for Networks
- *  constructed while the guard is alive (the flag is latched in the
- *  Network constructor). */
-class CheckActiveSetsGuard
-{
-  public:
-    CheckActiveSetsGuard()
-    {
-        ::setenv("WORMNET_CHECK_ACTIVE_SETS", "1", 1);
-    }
-    ~CheckActiveSetsGuard()
-    {
-        ::unsetenv("WORMNET_CHECK_ACTIVE_SETS");
-    }
-};
 
 SimulationConfig
 baseConfig()
@@ -63,14 +46,14 @@ TEST(ActiveSets, CrossCheckUniformTrafficWithDeadlockRecovery)
     // Fully adaptive routing near saturation: routing grants, switch
     // traversals, deadlock verdicts and progressive drains all churn
     // the sets every cycle.
-    CheckActiveSetsGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 0.45;
     Simulation sim(cfg);
     Network &net = sim.net();
     for (int chunk = 0; chunk < 8; ++chunk) {
         net.run(500);
-        validateNetworkInvariants(net);
+        net.audit();
     }
     EXPECT_GT(net.stats().delivered, 500u);
 }
@@ -81,7 +64,7 @@ TEST(ActiveSets, CrossCheckFaultsAndRegressiveRecovery)
     // exercises stranded-worm kills, whole-worm releases, abandoned
     // messages and killed-then-requeued re-injection, all of which
     // must keep every counter exact.
-    CheckActiveSetsGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 0.2;
     cfg.recovery = "regressive:16";
@@ -93,7 +76,7 @@ TEST(ActiveSets, CrossCheckFaultsAndRegressiveRecovery)
     Network &net = sim.net();
     for (int chunk = 0; chunk < 8; ++chunk) {
         net.run(400);
-        validateNetworkInvariants(net);
+        net.audit();
     }
     const SimStats &s = net.stats();
     EXPECT_GE(s.faultsInjected, 2u);
@@ -104,16 +87,16 @@ TEST(ActiveSets, CrossCheckUngatedPdmFullSweep)
 {
     // Ungated PDM is the one detector that is not idle-cycle-end
     // stable, so detectorCycleEnd() must take the exhaustive-sweep
-    // path; the occupied mask it feeds still comes from the
-    // allocation counters and is checked against brute force.
-    CheckActiveSetsGuard guard;
+    // path; the occupied mask it feeds still comes from
+    // allocOutMask_ and is checked against brute force.
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.detector = "pdm:16";
     cfg.flitRate = 0.35;
     Simulation sim(cfg);
     Network &net = sim.net();
     net.run(2000);
-    validateNetworkInvariants(net);
+    net.audit();
     EXPECT_GT(net.stats().delivered, 200u);
 }
 
@@ -123,7 +106,7 @@ TEST(ActiveSets, CrossCheckDishaRecoveryAndHotspot)
     // injectors) while DISHA's token drains consume worms link by
     // link from the head — a different release order than
     // progressive's.
-    CheckActiveSetsGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.pattern = "hotspot:0.3:0";
     cfg.recovery = "disha:1";
@@ -134,14 +117,14 @@ TEST(ActiveSets, CrossCheckDishaRecoveryAndHotspot)
     Network &net = sim.net();
     for (int chunk = 0; chunk < 6; ++chunk) {
         net.run(400);
-        validateNetworkInvariants(net);
+        net.audit();
     }
     EXPECT_GT(net.stats().delivered, 100u);
 }
 
 TEST(ActiveSets, TotalQueuedMatchesQueueSum)
 {
-    CheckActiveSetsGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 2.0; // far past saturation: queues actually fill
     cfg.maxSourceQueue = 16;
@@ -166,7 +149,7 @@ TEST(ActiveSets, CheckFlagDoesNotChangeResults)
 
     SimStats with_check;
     {
-        CheckActiveSetsGuard guard;
+        AuditEachStepGuard guard;
         Simulation sim(cfg);
         sim.net().run(2500);
         with_check = sim.net().stats();

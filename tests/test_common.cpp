@@ -267,21 +267,8 @@ TEST(Log, PanicThrows)
 
 TEST(Log, AssertMacro)
 {
-    // wn_assert is the back-compat alias for the cheap contract.
-    EXPECT_NO_THROW(wn_assert(1 + 1 == 2));
-    EXPECT_NO_THROW(WORMNET_ASSERT(true));
-#if WORMNET_CONTRACT_LEVEL >= 1
-    EXPECT_THROW(wn_assert(false, " details"), PanicError);
+    EXPECT_NO_THROW(WORMNET_ASSERT(1 + 1 == 2));
     EXPECT_THROW(WORMNET_ASSERT(false, " details"), PanicError);
-#else
-    EXPECT_NO_THROW(wn_assert(false, " details"));
-    EXPECT_NO_THROW(WORMNET_ASSERT(false, " details"));
-#endif
-#if WORMNET_CONTRACT_LEVEL >= 2
-    EXPECT_THROW(WORMNET_INVARIANT(false), PanicError);
-#else
-    EXPECT_NO_THROW(WORMNET_INVARIANT(false));
-#endif
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 #include "core/simulation.hh"
 #include "detector_fixture.hh"
 #include "fault/fault.hh"
-#include "sim/validate.hh"
 #include "topology/torus.hh"
 
 namespace wormnet
@@ -129,7 +128,7 @@ TEST(Fault, StrandedWormKilledAndRedeliveredAfterRepair)
     Network &net = sim.net();
     const MsgId id = net.injectMessage(0, 3, 64);
     net.run(3000);
-    validateNetworkInvariants(net);
+    net.audit();
 
     const Message &m = net.messages().get(id);
     EXPECT_EQ(m.status, MsgStatus::Delivered);
@@ -158,7 +157,7 @@ TEST(Fault, PermanentFaultExhaustsRetriesAndAbandons)
     Network &net = sim.net();
     const MsgId id = net.injectMessage(0, 3, 16);
     net.run(3000);
-    validateNetworkInvariants(net);
+    net.audit();
 
     const Message &m = net.messages().get(id);
     EXPECT_EQ(m.status, MsgStatus::Abandoned);
@@ -200,7 +199,7 @@ TEST(Fault, RetryExhaustionWhileLinkMidRepairAbandonsExactlyOnce)
     EXPECT_EQ(net.stats().faultsRepaired, 0u);
 
     net.run(2700); // repair at ~420, then a long quiet tail
-    validateNetworkInvariants(net);
+    net.audit();
     {
         const Message &m = net.messages().get(id);
         EXPECT_EQ(m.status, MsgStatus::Abandoned)
@@ -235,7 +234,7 @@ TEST(Fault, FaultedPortsNeverInFeasibleSetsUnderLoad)
     Network &net = sim.net();
     for (int chunk = 0; chunk < 10; ++chunk) {
         net.run(200);
-        validateNetworkInvariants(net);
+        net.audit();
         const RouterParams &rp = net.routerParams();
         for (NodeId n = 0; n < net.numNodes(); ++n) {
             for (PortId p = 0; p < rp.numInPorts(); ++p) {
@@ -269,7 +268,7 @@ TEST(Fault, DeadRouterKillsOccupantsAndTrafficDrains)
     net.run(1500);
     net.setFlitRate(0.0);
     net.run(4000);
-    validateNetworkInvariants(net);
+    net.audit();
 
     ASSERT_NE(net.faultModel(), nullptr);
     EXPECT_EQ(net.faultModel()->activeRouterFaults(), 1u);
@@ -300,7 +299,7 @@ TEST(Fault, StochasticFaultsWithRepairKeepBooksBalanced)
     Network &net = sim.net();
     for (int chunk = 0; chunk < 10; ++chunk) {
         net.run(200);
-        validateNetworkInvariants(net);
+        net.audit();
         const SimStats &s = net.stats();
         EXPECT_EQ(s.injected, s.delivered + s.kills + s.abandoned +
                                   net.inFlight());
@@ -337,7 +336,7 @@ runAcceptance(const char *faults)
     net.startMeasurement();
     for (int chunk = 0; chunk < 20; ++chunk) {
         net.run(500); // fault (if any) strikes at cycle 5000
-        validateNetworkInvariants(net);
+        net.audit();
     }
     net.setFlitRate(0.0);
     Cycle drained = 0;
@@ -346,7 +345,7 @@ runAcceptance(const char *faults)
         net.run(100);
         drained += 100;
     }
-    validateNetworkInvariants(net);
+    net.audit();
 
     const SimStats &s = net.stats();
     AcceptanceResult r;

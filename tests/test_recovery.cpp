@@ -268,7 +268,9 @@ TEST(Disha, MoreTokensRecoverFasterUnderManyDeadlocks)
         cfg.dims = 2;
         cfg.vcs = 1;
         cfg.flitRate = 0.3;
-        cfg.lengths = "s";
+        // Not = "s": GCC 12 raises a false -Wrestrict on a one-char
+        // literal assigned to a std::string.
+        cfg.lengths = std::string("s");
         cfg.detector = "ndm:16";
         cfg.recovery = recovery;
         cfg.injectionLimit = false;

@@ -5,51 +5,34 @@
  * The per-cycle core runs off incrementally maintained flat arrays —
  * the VcStore channel state, the slab-allocated worm paths in the
  * MessageStore and the packed switch-candidate VC masks. Every test
- * here constructs its Network with WORMNET_CHECK_SOA=1, which makes
- * Network::step() recompute that derived state by brute force from
- * the authoritative per-VC structs at the end of every cycle and
- * panic on any divergence — so simply running the scenario under the
- * flag is the assertion. Scenarios are picked to cross every
- * maintenance site: saturation (allocation, credit exhaustion, worms
+ * here constructs its Network with WORMNET_CHECK_ACTIVE_SETS=1, which
+ * makes Network::step() run Network::audit() — recompute that derived
+ * state by brute force from the authoritative per-VC structs — at the
+ * end of every cycle and panic on any divergence, so simply running
+ * the scenario under the flag is the assertion. Scenarios are picked
+ * to cross every maintenance site: saturation (allocation, credit exhaustion, worms
  * stretched thin), faults (stranded-worm kills, head retraction),
  * recovery drains and online reconfiguration.
  *
  * The checkpoint tests additionally prove the flat layout round-trips
  * through the v3 image with worms mid-flight: restore rebuilds the
  * derived arrays from the serialized authoritative state, and the
- * byte streams of both simulations must stay equal while the
- * cross-check keeps auditing every subsequent cycle.
+ * byte streams of both simulations must stay equal while the audit
+ * keeps checking every subsequent cycle.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
+#include "audit_guard.hh"
 #include "common/serialize.hh"
 #include "core/simulation.hh"
-#include "sim/validate.hh"
 
 namespace wormnet
 {
 namespace
 {
-
-/** Enables the per-cycle brute-force SoA cross-check for Networks
- *  constructed while the guard is alive (latched in the Network
- *  constructor, like WORMNET_CHECK_ACTIVE_SETS). */
-class CheckSoaGuard
-{
-  public:
-    CheckSoaGuard()
-    {
-        ::setenv("WORMNET_CHECK_SOA", "1", 1);
-    }
-    ~CheckSoaGuard()
-    {
-        ::unsetenv("WORMNET_CHECK_SOA");
-    }
-};
 
 SimulationConfig
 baseConfig()
@@ -79,14 +62,14 @@ TEST(SoaLayout, CrossCheckSaturatedTraffic)
     // Past saturation every switch-candidate transition fires:
     // allocations, credit stalls, empty-fifo stretched worms,
     // credit-replay re-arms and tail releases.
-    CheckSoaGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 0.5;
     Simulation sim(cfg);
     Network &net = sim.net();
     for (int chunk = 0; chunk < 8; ++chunk) {
         net.run(400);
-        validateNetworkInvariants(net);
+        net.audit();
     }
     EXPECT_GT(net.stats().delivered, 300u);
 }
@@ -96,7 +79,7 @@ TEST(SoaLayout, CrossCheckFaultsAndRegressiveRecovery)
     // Fault kills retract worm heads (releaseOutputVc on live grants)
     // and regressive recovery replays whole worms — both must leave
     // the candidate masks exactly consistent.
-    CheckSoaGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 0.25;
     cfg.recovery = "regressive:16";
@@ -108,7 +91,7 @@ TEST(SoaLayout, CrossCheckFaultsAndRegressiveRecovery)
     Network &net = sim.net();
     for (int chunk = 0; chunk < 8; ++chunk) {
         net.run(400);
-        validateNetworkInvariants(net);
+        net.audit();
     }
     EXPECT_GE(net.stats().faultsInjected, 2u);
     EXPECT_GT(net.stats().delivered, 100u);
@@ -119,7 +102,7 @@ TEST(SoaLayout, CrossCheckOnlineReconfiguration)
     // Draining links/routers out of service and re-adding them walks
     // the same head-retraction and release paths as faults but via
     // the reconfiguration manager's quiesce protocol.
-    CheckSoaGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 0.3;
     cfg.reconfig = "link-:0>1@300,routing:duato@600,link+:0>1@900";
@@ -127,7 +110,7 @@ TEST(SoaLayout, CrossCheckOnlineReconfiguration)
     Network &net = sim.net();
     for (int chunk = 0; chunk < 6; ++chunk) {
         net.run(300);
-        validateNetworkInvariants(net);
+        net.audit();
     }
     EXPECT_GT(net.stats().delivered, 100u);
 }
@@ -138,7 +121,7 @@ TEST(SoaLayout, CheckpointRoundTripWithWormsMidFlight)
     // a fresh simulation, and require bitwise-equal state at the save
     // point and again after running both forward — with the SoA
     // cross-check auditing the rebuilt derived arrays every cycle.
-    CheckSoaGuard guard;
+    AuditEachStepGuard guard;
     SimulationConfig cfg = baseConfig();
     cfg.flitRate = 0.5;
 
@@ -175,7 +158,7 @@ TEST(SoaLayout, CheckFlagDoesNotChangeResults)
 
     SimStats with_check;
     {
-        CheckSoaGuard guard;
+        AuditEachStepGuard guard;
         Simulation sim(cfg);
         sim.net().run(2500);
         with_check = sim.net().stats();

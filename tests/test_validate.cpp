@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for (and with) the structural invariant checker: the checker
- * passes throughout randomised runs of every mechanism combination,
- * and actually fires when state is corrupted behind the kernel's
+ * Tests for (and with) Network::audit(): it passes throughout
+ * randomised runs of every mechanism combination, and it fires when
+ * primary state or a derived cache is corrupted behind the kernel's
  * back.
  */
 
@@ -13,7 +13,6 @@
 
 #include "common/log.hh"
 #include "core/simulation.hh"
-#include "sim/validate.hh"
 
 namespace wormnet
 {
@@ -27,9 +26,9 @@ TEST(Validate, EmptyNetworkIsValid)
     cfg.dims = 2;
     cfg.flitRate = 0.0;
     Simulation sim(cfg);
-    EXPECT_NO_THROW(validateNetworkInvariants(sim.net()));
+    EXPECT_NO_THROW(sim.net().audit());
     sim.net().run(100);
-    EXPECT_NO_THROW(validateNetworkInvariants(sim.net()));
+    EXPECT_NO_THROW(sim.net().audit());
 }
 
 TEST(Validate, DetectsForeignFlit)
@@ -43,7 +42,7 @@ TEST(Validate, DetectsForeignFlit)
     sim.net().injectMessage(0, 5, 4);
     Router &rt = sim.net().router(0);
     rt.inputVc(0, 0).msg = 0;
-    EXPECT_THROW(validateNetworkInvariants(sim.net()), PanicError);
+    EXPECT_THROW(sim.net().audit(), PanicError);
 }
 
 TEST(Validate, DetectsCreditDrift)
@@ -54,7 +53,7 @@ TEST(Validate, DetectsCreditDrift)
     cfg.flitRate = 0.0;
     Simulation sim(cfg);
     sim.net().router(0).outputVc(0, 0).credits = 1;
-    EXPECT_THROW(validateNetworkInvariants(sim.net()), PanicError);
+    EXPECT_THROW(sim.net().audit(), PanicError);
 }
 
 TEST(Validate, DetectsDanglingAllocation)
@@ -70,7 +69,85 @@ TEST(Validate, DetectsDanglingAllocation)
     out.srcPort = 0;
     out.srcVc = 0;
     sim.net().injectMessage(0, 5, 4); // message 0 exists, holds nothing
-    EXPECT_THROW(validateNetworkInvariants(sim.net()), PanicError);
+    EXPECT_THROW(sim.net().audit(), PanicError);
+}
+
+/** A 4x4 torus past saturation, so blocked heads, mid-injection
+ *  worms and busy injection VCs all exist when the caches are
+ *  corrupted below. */
+SimulationConfig
+saturatedConfig()
+{
+    SimulationConfig cfg;
+    cfg.radix = 4;
+    cfg.dims = 2;
+    cfg.flitRate = 0.8;
+    cfg.oraclePeriod = 0;
+    cfg.seed = 5;
+    return cfg;
+}
+
+/** The first input VC (ascending node, port, VC) satisfying @p pick,
+ *  or nullptr. */
+template <typename Pick>
+InputVc *
+findInputVc(Network &net, Pick pick)
+{
+    const RouterParams &rp = net.routerParams();
+    for (NodeId node = 0; node < net.numNodes(); ++node) {
+        for (PortId p = 0; p < rp.numInPorts(); ++p) {
+            for (VcId v = 0; v < rp.vcs; ++v) {
+                InputVc &vc = net.router(node).inputVc(p, v);
+                if (pick(vc, p))
+                    return &vc;
+            }
+        }
+    }
+    return nullptr;
+}
+
+TEST(Validate, DetectsStaleRoutableFlag)
+{
+    Simulation sim(saturatedConfig());
+    sim.net().run(400);
+    ASSERT_NO_THROW(sim.net().audit());
+    // A head that already failed to route: routable, yet flagged as
+    // not in the routing phase's mask.
+    InputVc *vc = findInputVc(sim.net(), [](const InputVc &c, PortId) {
+        return c.inRouteSet && c.attempted;
+    });
+    ASSERT_NE(vc, nullptr) << "scenario must leave a blocked head";
+    vc->inRouteSet = false;
+    EXPECT_THROW(sim.net().audit(), PanicError);
+}
+
+TEST(Validate, DetectsStaleCachedDst)
+{
+    Simulation sim(saturatedConfig());
+    sim.net().run(400);
+    ASSERT_NO_THROW(sim.net().audit());
+    InputVc *vc = findInputVc(sim.net(), [](const InputVc &c, PortId) {
+        return !c.free();
+    });
+    ASSERT_NE(vc, nullptr);
+    vc->dst = (vc->dst + 1) % sim.net().numNodes();
+    EXPECT_THROW(sim.net().audit(), PanicError);
+}
+
+TEST(Validate, DetectsStaleInjDone)
+{
+    Simulation sim(saturatedConfig());
+    sim.net().run(400);
+    ASSERT_NO_THROW(sim.net().audit());
+    const PortId net_ports =
+        static_cast<PortId>(sim.net().routerParams().netPorts);
+    InputVc *vc = findInputVc(
+        sim.net(), [net_ports](const InputVc &c, PortId p) {
+            return p >= net_ports && !c.free();
+        });
+    ASSERT_NE(vc, nullptr) << "scenario must leave a busy injection VC";
+    vc->injDone = !vc->injDone;
+    EXPECT_THROW(sim.net().audit(), PanicError);
 }
 
 /** The kernel keeps every invariant across mechanisms and loads.
@@ -99,12 +176,12 @@ TEST_P(ValidateSweep, InvariantsHoldThroughoutRandomRuns)
     Simulation sim(cfg);
     for (int chunk = 0; chunk < 40; ++chunk) {
         sim.net().run(50);
-        ASSERT_NO_THROW(validateNetworkInvariants(sim.net()));
+        ASSERT_NO_THROW(sim.net().audit());
     }
     // And after a full drain.
     sim.net().setFlitRate(0.0);
     sim.net().run(3000);
-    ASSERT_NO_THROW(validateNetworkInvariants(sim.net()));
+    ASSERT_NO_THROW(sim.net().audit());
     EXPECT_EQ(sim.net().inFlight(), 0u);
 }
 
