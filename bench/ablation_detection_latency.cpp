@@ -36,7 +36,9 @@ main(int argc, char **argv)
     const Config cli = Config::parseArgs(argc - 1, argv + 1);
     const Cycle warmup = cli.getUint("warmup", 1000);
     const Cycle measure = cli.getUint("measure", 12000);
-    const auto jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    const unsigned jobs =
+        cli.has("jobs") ? bench::parseJobsOption(cli.getString("jobs"))
+                        : 0;
 
     // A true deadlock that outlives this many cycles was missed by
     // the detector, not merely detected late: NDM should fire within

@@ -15,9 +15,9 @@
  *   --load r            offered load in flits/cycle/node (default 0.2)
  *   --warmup/--measure/--drain N
  *   --quick             small cycle counts (CI smoke run)
- *   --jobs N            worker threads (0 = WORMNET_JOBS env, else
- *                       hardware concurrency); the JSON on stdout is
- *                       identical for every value
+ *   --jobs N            worker threads (default: WORMNET_JOBS env,
+ *                       else hardware concurrency); the JSON on stdout
+ *                       is identical for every value
  */
 
 #include <cstdio>
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "common/parallel.hh"
 #include "core/simulation.hh"
 
@@ -76,8 +77,7 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             seed = std::strtoull(next(), nullptr, 10);
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+            jobs = bench::parseJobsOption(next());
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             return 1;

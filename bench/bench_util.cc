@@ -53,7 +53,8 @@ parseBenchArgs(int argc, char **argv, const std::string &pattern,
         static_cast<unsigned>(cli.getUint("seeds", 1));
     if (opts.replications < 1)
         fatal("--seeds must be >= 1");
-    opts.jobs = static_cast<unsigned>(cli.getUint("jobs", 0));
+    if (cli.has("jobs"))
+        opts.jobs = parseJobsOption(cli.getString("jobs"));
     opts.checkpoint = cli.getString("checkpoint", opts.checkpoint);
     opts.checkpointEvery = static_cast<unsigned>(
         cli.getUint("checkpoint-every", opts.checkpointEvery));
@@ -80,6 +81,15 @@ parseBenchArgs(int argc, char **argv, const std::string &pattern,
                      opts.satRate);
     }
     return opts;
+}
+
+unsigned
+parseJobsOption(const std::string &text)
+{
+    const auto jobs = parseJobs(text);
+    if (!jobs)
+        fatal("--jobs wants a positive integer, got '", text, "'");
+    return *jobs;
 }
 
 void

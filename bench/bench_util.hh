@@ -71,8 +71,8 @@ struct BenchOptions
     Cycle measure = 15000;
     /** Seeds averaged per cell (--seeds N). */
     unsigned replications = 1;
-    /** Worker threads (--jobs N; 0 = WORMNET_JOBS env, else hardware
-     *  concurrency). */
+    /** Worker threads (--jobs N; 0 when absent = WORMNET_JOBS env,
+     *  else hardware concurrency). */
     unsigned jobs = 0;
     bool csv = false;
     bool quiet = false;
@@ -103,6 +103,12 @@ void runTableBench(const std::string &title, const BenchOptions &opts,
                    const std::string &detector_template,
                    const std::vector<std::string> &size_classes,
                    const PaperRef *paper = nullptr);
+
+/**
+ * The value of a --jobs option as parseJobs() reads it; fatal() when
+ * parseJobs() rejects @p text.
+ */
+unsigned parseJobsOption(const std::string &text);
 
 } // namespace bench
 } // namespace wormnet

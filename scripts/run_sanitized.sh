@@ -19,13 +19,12 @@
 # report fails the run: ASan and TSan abort on errors by default, and
 # halt_on_error makes UBSan do the same.
 #
-# The TSan pass runs the tests that exercise the work-stealing pool
-# and the parallel experiment harness (test_parallel,
-# test_experiment) and the DWFG jobs-invariance batch (whole
-# simulations with probe bookkeeping on worker threads): that is
-# where threads share state. Each simulation itself steps on one
-# thread. TSAN_CTEST_RE overrides the selection; the full suite under TSan
-# works too, it is just slow.
+# The TSan pass runs the tests that exercise parallelFor and the
+# parallel experiment harness (test_parallel, test_experiment) and
+# the DWFG jobs-invariance batch (whole simulations with probe
+# bookkeeping on worker threads): that is where threads share state.
+# Each simulation itself steps on one thread. TSAN_CTEST_RE overrides
+# the selection; the full suite under TSan works too, it is just slow.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -61,7 +60,7 @@ run_tsan() {
 
     TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ctest --test-dir "$build_dir" --output-on-failure \
-        -R "${TSAN_CTEST_RE:-ThreadPool|ParallelFor|ParallelDeterminism|Experiment|DwfgDifferential.Batch}" \
+        -R "${TSAN_CTEST_RE:-ParallelFor|ParallelDeterminism|Experiment|DwfgDifferential.Batch}" \
         -j "$(nproc)"
 }
 

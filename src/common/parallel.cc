@@ -1,151 +1,38 @@
 #include "common/parallel.hh"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <exception>
 #include <limits>
-#include <string>
+#include <mutex>
+#include <thread>
+#include <vector>
 
-#include "common/contracts.hh"
 #include "common/log.hh"
 
 namespace wormnet
 {
 
-namespace
+std::optional<unsigned>
+parseJobs(std::string_view text)
 {
-
-/** Identifies the pool (and worker slot) the current thread runs in,
- *  so submit() can route nested submissions to the worker's own
- *  deque instead of blocking on the bounded external queue. */
-thread_local ThreadPool *tlsPool = nullptr;
-thread_local std::size_t tlsWorker = 0;
-
-} // namespace
-
-ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity)
-    : queueCapacity_(queue_capacity)
-{
-    WORMNET_ASSERT(threads >= 1);
-    WORMNET_ASSERT(queue_capacity >= 1);
-    local_.resize(threads);
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    cvWork_.notify_all();
-    cvSpace_.notify_all();
-    for (auto &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::submit(Task task)
-{
-    WORMNET_ASSERT(task != nullptr);
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (tlsPool == this) {
-        // Nested submission from one of our own workers: the worker's
-        // private deque is unbounded, so spawning subtasks can never
-        // deadlock against the queue bound.
-        local_[tlsWorker].push_back(std::move(task));
-    } else {
-        cvSpace_.wait(lock, [this] {
-            return queue_.size() < queueCapacity_ || stopping_;
-        });
-        if (stopping_)
-            panic("ThreadPool::submit during shutdown");
-        queue_.push_back(std::move(task));
-    }
-    ++unfinished_;
-    lock.unlock();
-    cvWork_.notify_one();
-}
-
-bool
-ThreadPool::takeTask(std::size_t index, Task &out)
-{
-    // Own deque first (LIFO keeps nested work hot), then the shared
-    // queue, then steal the oldest task from another worker.
-    if (!local_[index].empty()) {
-        out = std::move(local_[index].back());
-        local_[index].pop_back();
-        return true;
-    }
-    if (!queue_.empty()) {
-        out = std::move(queue_.front());
-        queue_.pop_front();
-        cvSpace_.notify_one();
-        return true;
-    }
-    for (std::size_t k = 1; k < local_.size(); ++k) {
-        auto &victim = local_[(index + k) % local_.size()];
-        if (!victim.empty()) {
-            out = std::move(victim.front());
-            victim.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(std::size_t index)
-{
-    tlsPool = this;
-    tlsWorker = index;
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        Task task;
-        if (takeTask(index, task)) {
-            lock.unlock();
-            try {
-                task();
-            } catch (...) {
-                lock.lock();
-                if (!firstError_)
-                    firstError_ = std::current_exception();
-                lock.unlock();
-            }
-            task = nullptr; // destroy captures outside the lock
-            lock.lock();
-            if (--unfinished_ == 0)
-                cvIdle_.notify_all();
-            continue;
-        }
-        // Drain everything before honouring shutdown so no submitted
-        // task is ever dropped.
-        if (stopping_)
-            return;
-        cvWork_.wait(lock);
-    }
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    cvIdle_.wait(lock, [this] { return unfinished_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(err);
-    }
+    // from_chars takes no leading '+' or whitespace, and reports a
+    // value too large for unsigned instead of wrapping it.
+    unsigned jobs = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, jobs);
+    if (ec != std::errc() || ptr != end || jobs == 0)
+        return std::nullopt;
+    return jobs;
 }
 
 unsigned
 defaultJobs()
 {
     if (const char *env = std::getenv("WORMNET_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed >= 1)
-            return static_cast<unsigned>(parsed);
+        if (const auto jobs = parseJobs(env))
+            return *jobs;
         warn("ignoring WORMNET_JOBS='", env,
              "' (want a positive integer)");
     }
@@ -173,9 +60,10 @@ parallelFor(std::size_t n, unsigned jobs,
     std::size_t errIndex = std::numeric_limits<std::size_t>::max();
     std::exception_ptr error;
 
-    ThreadPool pool(jobs);
+    std::vector<std::jthread> workers;
+    workers.reserve(jobs);
     for (unsigned j = 0; j < jobs; ++j) {
-        pool.submit([&] {
+        workers.emplace_back([&] {
             for (;;) {
                 const std::size_t i =
                     next.fetch_add(1, std::memory_order_relaxed);
@@ -200,7 +88,8 @@ parallelFor(std::size_t n, unsigned jobs,
             }
         });
     }
-    pool.wait();
+    // Joins every worker; if a spawn throws, the destructor does.
+    workers.clear();
     if (error)
         std::rethrow_exception(error);
 }

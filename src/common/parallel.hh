@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing thread pool and a deterministic parallel_for layer.
+ * A deterministic parallel_for layer over plain threads.
  *
  * The experiment harness runs hundreds of independent simulations
  * (table cells x seed replications, saturation probes); this module
@@ -15,90 +15,25 @@
  * Job-count resolution (defaultJobs()): the WORMNET_JOBS environment
  * variable when set to a positive integer, otherwise the hardware
  * concurrency. Benches additionally accept --jobs, which overrides
- * both. jobs=1 always executes on the caller thread with no pool.
+ * both. jobs=1 always executes on the caller thread.
  */
 
 #ifndef WORMNET_COMMON_PARALLEL_HH
 #define WORMNET_COMMON_PARALLEL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 namespace wormnet
 {
 
 /**
- * Fixed-size thread pool with a bounded external queue and per-worker
- * deques for nested submissions.
- *
- * - submit() from outside the pool blocks while the shared queue is
- *   at capacity (backpressure instead of unbounded memory).
- * - submit() from inside a task goes to the submitting worker's own
- *   deque (never blocks), so tasks may spawn subtasks freely without
- *   deadlocking against the queue bound.
- * - Idle workers steal from the back of other workers' deques.
- * - wait() blocks until every submitted task has finished and
- *   rethrows the first exception a task raised, if any.
- * - The destructor drains all pending tasks before joining; no
- *   submitted task is ever dropped (exceptions raised while draining
- *   are swallowed, since a destructor cannot rethrow).
+ * Parse a job count: a positive integer that fits in unsigned, with
+ * no sign, whitespace or trailing characters; std::nullopt otherwise.
  */
-class ThreadPool
-{
-  public:
-    using Task = std::function<void()>;
-
-    /**
-     * @param threads worker-thread count (>= 1)
-     * @param queue_capacity bound on externally submitted tasks
-     *        awaiting execution
-     */
-    explicit ThreadPool(unsigned threads,
-                        std::size_t queue_capacity = 1024);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue a task; see the class comment for blocking rules. */
-    void submit(Task task);
-
-    /**
-     * Block until all tasks submitted so far (including nested ones)
-     * have finished. Rethrows the first task exception, clearing it.
-     */
-    void wait();
-
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers_.size());
-    }
-
-  private:
-    void workerLoop(std::size_t index);
-    bool takeTask(std::size_t index, Task &out);
-
-    mutable std::mutex mutex_;
-    std::condition_variable cvWork_;  ///< workers: a task is available
-    std::condition_variable cvSpace_; ///< submitters: queue has room
-    std::condition_variable cvIdle_;  ///< wait(): everything finished
-
-    std::deque<Task> queue_; ///< external submissions (FIFO)
-    /** Per-worker deques: own tasks pop LIFO, thieves steal FIFO. */
-    std::vector<std::deque<Task>> local_;
-    std::vector<std::thread> workers_;
-
-    std::size_t queueCapacity_;
-    std::size_t unfinished_ = 0; ///< submitted but not yet completed
-    bool stopping_ = false;
-    std::exception_ptr firstError_;
-};
+std::optional<unsigned> parseJobs(std::string_view text);
 
 /**
  * Resolve the job count used when a caller passes jobs=0: the

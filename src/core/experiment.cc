@@ -161,7 +161,7 @@ ExperimentRunner::runTable(const TableSpec &spec) const
         per_rate.resize(nSizes);
 
     // Fan every independent simulation — cell x replication — across
-    // the pool at once; each writes its own slot, and the per-cell
+    // the workers at once; each writes its own slot, and the per-cell
     // reduction below walks the slots in serial order, so the table
     // is bitwise-identical for every job count.
     // wormnet-lint: allow(banned-api): stderr progress ETA baseline
@@ -169,7 +169,7 @@ ExperimentRunner::runTable(const TableSpec &spec) const
     std::vector<CellResult> raw(nCells * reps);
 
     // Sweep checkpointing: done[w] marks slot w as final. Resumed
-    // slots are restored bit-exactly before the pool starts and
+    // slots are restored bit-exactly before the workers start and
     // skipped by the workers; the reduction cannot tell the
     // difference, so resumed output is byte-identical.
     std::vector<std::uint8_t> done(nCells * reps, 0);

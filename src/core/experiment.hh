@@ -12,8 +12,8 @@
  * the paper's "(*)" annotation.
  *
  * Execution is parallel: every independent simulation (cell x seed
- * replication, saturation probe) fans out over a thread pool
- * (common/parallel.hh) controlled by the jobs knob (0 = WORMNET_JOBS
+ * replication, saturation probe) fans out over plain threads
+ * (parallelFor in common/parallel.hh) controlled by the jobs knob (0 = WORMNET_JOBS
  * env, else hardware concurrency; 1 = serial on the caller thread).
  * Results land in pre-sized slots and are reduced sequentially in
  * serial order, so every output is bitwise-identical regardless of

@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for the parallel sweep engine: thread-pool semantics
- * (exception propagation, nested submission, shutdown with pending
- * tasks), parallelFor's serial-equivalence contract, the SplitMix64
+ * Tests for the parallel sweep engine: the job-count parse,
+ * parallelFor's serial-equivalence contract, the SplitMix64
  * seed derivation, and the headline guarantee that a TableSpec run
  * with jobs 1, 2 and 8 produces byte-identical TableResults.
  */
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,85 +32,48 @@ namespace
 {
 
 // ---------------------------------------------------------------
-// ThreadPool semantics.
+// Job-count parse.
 // ---------------------------------------------------------------
 
-TEST(ThreadPool, RunsAllSubmittedTasks)
+TEST(JobCount, ParseAcceptsOnlyPositiveIntegersThatFitUnsigned)
 {
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 100);
+    const unsigned max = std::numeric_limits<unsigned>::max();
+    EXPECT_EQ(parseJobs("1"), 1u);
+    EXPECT_EQ(parseJobs("4"), 4u);
+    EXPECT_EQ(parseJobs("007"), 7u);
+    EXPECT_EQ(parseJobs(std::to_string(max)), max);
+
+    const std::vector<std::string> rejected = {
+        "",    "0",    "00",  "4x",
+        "4 ",  " 4",   "+4",  "-1",
+        "1.5", "abc",  "0x10", std::to_string(std::uint64_t{max} + 1),
+        std::to_string(std::uint64_t{max} + 2)};
+    for (const std::string &bad : rejected)
+        EXPECT_EQ(parseJobs(bad), std::nullopt) << "'" << bad << "'";
 }
 
-TEST(ThreadPool, WaitPropagatesTaskException)
+TEST(JobCount, DefaultJobsIgnoresMalformedEnv)
 {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is cleared once observed; the pool stays usable.
-    std::atomic<int> ran{0};
-    pool.submit([&] { ran.fetch_add(1); });
-    EXPECT_NO_THROW(pool.wait());
-    EXPECT_EQ(ran.load(), 1);
-}
+    const char *old = std::getenv("WORMNET_JOBS");
+    const std::optional<std::string> saved =
+        old ? std::optional<std::string>(old) : std::nullopt;
+    const unsigned hw =
+        std::max(1u, std::thread::hardware_concurrency());
 
-TEST(ThreadPool, NestedSubmitCompletes)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&, i] {
-            ran.fetch_add(1);
-            // Tasks spawned from inside a task go to the worker's
-            // private deque and must all execute, even two levels
-            // deep.
-            for (int j = 0; j < 4; ++j) {
-                pool.submit([&] {
-                    ran.fetch_add(1);
-                    pool.submit([&] { ran.fetch_add(1); });
-                });
-            }
-        });
+    ::unsetenv("WORMNET_JOBS");
+    EXPECT_EQ(defaultJobs(), hw);
+    ::setenv("WORMNET_JOBS", "3", 1);
+    EXPECT_EQ(defaultJobs(), 3u);
+    // "4x" once read as 4 and 2^32 + 1 as 1; each now falls back.
+    for (const char *bad : {"4x", "4294967297", "0", "-2", "abc"}) {
+        ::setenv("WORMNET_JOBS", bad, 1);
+        EXPECT_EQ(defaultJobs(), hw) << "WORMNET_JOBS='" << bad << "'";
     }
-    pool.wait();
-    EXPECT_EQ(ran.load(), 8 + 8 * 4 + 8 * 4);
-}
 
-TEST(ThreadPool, NestedSubmitDoesNotDeadlockOnTinyQueue)
-{
-    // Queue capacity 1 with tasks that fan out: only safe because
-    // nested submissions bypass the bounded external queue.
-    ThreadPool pool(2, /*queue_capacity=*/1);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 4; ++i) {
-        pool.submit([&] {
-            for (int j = 0; j < 16; ++j)
-                pool.submit([&] { ran.fetch_add(1); });
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(ran.load(), 4 * 16);
-}
-
-TEST(ThreadPool, ShutdownDrainsPendingTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        // One slow worker so most tasks are still queued when the
-        // destructor runs; destruction must execute every one.
-        ThreadPool pool(1);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&] {
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(200));
-                ran.fetch_add(1);
-            });
-        }
-    }
-    EXPECT_EQ(ran.load(), 50);
+    if (saved)
+        ::setenv("WORMNET_JOBS", saved->c_str(), 1);
+    else
+        ::unsetenv("WORMNET_JOBS");
 }
 
 // ---------------------------------------------------------------
@@ -126,11 +93,19 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 
 TEST(ParallelFor, ZeroAndTinyRangesRunInline)
 {
-    int ran = 0;
-    parallelFor(0, 8, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran, 0);
-    parallelFor(1, 8, [&](std::size_t) { ++ran; });
-    EXPECT_EQ(ran, 1);
+    // n <= 1, and jobs = 1 at any n, run on the caller thread.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> ran{0};
+    const auto body = [&](std::size_t) {
+        ran.fetch_add(1);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+    };
+    parallelFor(0, 8, body);
+    EXPECT_EQ(ran.load(), 0);
+    parallelFor(1, 8, body);
+    EXPECT_EQ(ran.load(), 1);
+    parallelFor(16, 1, body);
+    EXPECT_EQ(ran.load(), 17);
 }
 
 TEST(ParallelFor, RethrowsLowestFailingIndex)
@@ -154,16 +129,18 @@ TEST(ParallelFor, RethrowsLowestFailingIndex)
 
 TEST(ParallelFor, ExceptionDoesNotLoseCompletedWork)
 {
-    std::atomic<int> ran{0};
-    EXPECT_THROW(parallelFor(32, 4,
+    std::vector<std::atomic<int>> hits(32);
+    EXPECT_THROW(parallelFor(hits.size(), 4,
                              [&](std::size_t i) {
+                                 hits[i].fetch_add(1);
                                  if (i == 0)
                                      throw std::runtime_error("x");
-                                 ran.fetch_add(1);
                              }),
                  std::runtime_error);
     // Indices already picked up may finish; none runs twice.
-    EXPECT_LE(ran.load(), 31);
+    EXPECT_EQ(hits[0].load(), 1);
+    for (const std::atomic<int> &h : hits)
+        EXPECT_LE(h.load(), 1);
 }
 
 // ---------------------------------------------------------------
