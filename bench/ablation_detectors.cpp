@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/config.hh"
 #include "common/parallel.hh"
 #include "core/simulation.hh"
 
@@ -55,6 +56,10 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Checked numeric values: fatal() on anything malformed.
+        const auto uintArg = [&] {
+            return parseUintOption(arg.substr(2), next());
+        };
         if (arg == "--quick") {
             quick = true;
             radix = 4;
@@ -62,15 +67,15 @@ main(int argc, char **argv)
             measure = 2500;
             drain = 3000;
         } else if (arg == "--threshold") {
-            threshold = std::strtoull(next(), nullptr, 10);
+            threshold = uintArg();
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
+            warmup = uintArg();
         } else if (arg == "--measure") {
-            measure = std::strtoull(next(), nullptr, 10);
+            measure = uintArg();
         } else if (arg == "--drain") {
-            drain = std::strtoull(next(), nullptr, 10);
+            drain = uintArg();
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = uintArg();
         } else if (arg == "--jobs") {
             jobs = bench::parseJobsOption(next());
         } else {

@@ -22,11 +22,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/config.hh"
 #include "common/parallel.hh"
 #include "core/simulation.hh"
 
@@ -54,28 +55,31 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Checked numeric values: fatal() on anything malformed.
+        const auto uintArg = [&] {
+            return parseUintOption(arg.substr(2), next());
+        };
         if (arg == "--quick") {
             warmup = 500;
             measure = 2000;
             drain = 3000;
         } else if (arg == "--rates") {
             rates.clear();
-            std::string list = next();
-            for (char *tok = std::strtok(list.data(), ",");
-                 tok != nullptr; tok = std::strtok(nullptr, ","))
-                rates.push_back(std::strtod(tok, nullptr));
+            std::stringstream list(next());
+            for (std::string tok; std::getline(list, tok, ',');)
+                rates.push_back(parseDoubleOption("rates", tok));
         } else if (arg == "--repair") {
-            repair = std::strtoull(next(), nullptr, 10);
+            repair = uintArg();
         } else if (arg == "--load") {
-            load = std::strtod(next(), nullptr);
+            load = parseDoubleOption(arg.substr(2), next());
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
+            warmup = uintArg();
         } else if (arg == "--measure") {
-            measure = std::strtoull(next(), nullptr, 10);
+            measure = uintArg();
         } else if (arg == "--drain") {
-            drain = std::strtoull(next(), nullptr, 10);
+            drain = uintArg();
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = uintArg();
         } else if (arg == "--jobs") {
             jobs = bench::parseJobsOption(next());
         } else {

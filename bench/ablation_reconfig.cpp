@@ -36,12 +36,14 @@
  *   --crash-at C        save to --checkpoint and _Exit(86) at cycle C
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <string>
 
+#include "common/config.hh"
 #include "core/simulation.hh"
 
 int
@@ -74,6 +76,10 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Checked numeric values: fatal() on anything malformed.
+        const auto uintArg = [&] {
+            return parseUintOption(arg.substr(2), next());
+        };
         if (arg == "--quick") {
             radix = 8;
             warmup = 500;
@@ -84,31 +90,31 @@ main(int argc, char **argv)
         } else if (arg == "--faults") {
             faults = next();
         } else if (arg == "--repair") {
-            repair = std::strtoull(next(), nullptr, 10);
+            repair = uintArg();
         } else if (arg == "--load") {
-            load = std::strtod(next(), nullptr);
+            load = parseDoubleOption(arg.substr(2), next());
         } else if (arg == "--radix") {
             radix = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                parseUintOption("radix", next(), UINT_MAX));
         } else if (arg == "--dims") {
             dims = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                parseUintOption("dims", next(), UINT_MAX));
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
+            warmup = uintArg();
         } else if (arg == "--measure") {
-            measure = std::strtoull(next(), nullptr, 10);
+            measure = uintArg();
         } else if (arg == "--drain") {
-            drain = std::strtoull(next(), nullptr, 10);
+            drain = uintArg();
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = uintArg();
         } else if (arg == "--checkpoint") {
             checkpoint = next();
         } else if (arg == "--checkpoint-every") {
-            checkpointEvery = std::strtoull(next(), nullptr, 10);
+            checkpointEvery = uintArg();
         } else if (arg == "--resume") {
             resume = next();
         } else if (arg == "--crash-at") {
-            crashAt = std::strtoull(next(), nullptr, 10);
+            crashAt = uintArg();
         } else {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             return 1;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -102,26 +104,15 @@ std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {
     const auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    const std::int64_t v = getInt(key, 0);
-    if (v < 0)
-        fatal("option --", key, ": must be non-negative");
-    return static_cast<std::uint64_t>(v);
+    return it == values_.end() ? def : parseUintOption(key, it->second);
 }
 
 double
 Config::getDouble(const std::string &key, double def) const
 {
     const auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --", key, ": '", it->second,
-              "' is not a number");
-    return v;
+    return it == values_.end() ? def
+                               : parseDoubleOption(key, it->second);
 }
 
 bool
@@ -155,6 +146,46 @@ Config::toString() const
     for (const auto &kv : values_)
         os << kv.first << '=' << kv.second << '\n';
     return os.str();
+}
+
+std::uint64_t
+parseUintOption(const std::string &key, const std::string &text,
+                std::uint64_t max)
+{
+    // from_chars takes no sign or whitespace and reports overflow
+    // instead of wrapping.
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec == std::errc::result_out_of_range || (ec == std::errc() &&
+                                                 ptr == end && v > max))
+        fatal("option --", key, ": '", text, "' is out of range (max ",
+              max, ")");
+    if (ec != std::errc() || ptr != end)
+        fatal("option --", key, ": '", text,
+              "' is not a non-negative integer");
+    return v;
+}
+
+double
+parseDoubleOption(const std::string &key, const std::string &text)
+{
+    // strtod would skip leading whitespace and accept a sign, "inf",
+    // "nan" and hex floats: only a digit or a '.' may start a value,
+    // and no 'x' may follow.
+    char *end = nullptr;
+    double v = 0.0;
+    if (!text.empty() &&
+        (std::isdigit(static_cast<unsigned char>(text[0])) ||
+         text[0] == '.') &&
+        text.find_first_of("xX") == std::string::npos)
+        v = std::strtod(text.c_str(), &end);
+    if (end == nullptr || end == text.c_str() || *end != '\0')
+        fatal("option --", key, ": '", text,
+              "' is not a non-negative number");
+    if (!std::isfinite(v))
+        fatal("option --", key, ": '", text, "' is out of range");
+    return v;
 }
 
 } // namespace wormnet

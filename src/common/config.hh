@@ -51,11 +51,12 @@ class Config
     std::int64_t getInt(const std::string &key,
                         std::int64_t def = 0) const;
 
-    /** Unsigned getter with default; fatal() on negatives. */
+    /** Unsigned getter with default; parsed by parseUintOption(). */
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t def = 0) const;
 
-    /** Double getter with default; fatal() on malformed value. */
+    /** Non-negative double getter with default; parsed by
+     *  parseDoubleOption(). */
     double getDouble(const std::string &key, double def = 0.0) const;
 
     /**
@@ -80,6 +81,24 @@ class Config
     std::map<std::string, std::string> values_;
     std::vector<std::string> positional_;
 };
+
+/**
+ * The value of option --@p key: @p text as a decimal integer in
+ * [0, @p max]. Digits only: fatal() on an empty or non-numeric value,
+ * a sign, whitespace, trailing characters, or a value above @p max
+ * (overflow included).
+ */
+std::uint64_t parseUintOption(const std::string &key,
+                              const std::string &text,
+                              std::uint64_t max = UINT64_MAX);
+
+/**
+ * The value of option --@p key: @p text as a finite, non-negative
+ * decimal number ("0.25", "1e-5", ".5"). fatal() on an empty or
+ * non-numeric value, a sign, whitespace, trailing characters, or
+ * overflow.
+ */
+double parseDoubleOption(const std::string &key, const std::string &text);
 
 } // namespace wormnet
 

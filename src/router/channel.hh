@@ -1,24 +1,24 @@
 /**
  * @file
- * Virtual-channel state: flit FIFOs, input-side VC records and
+ * Virtual-channel state: the worm buffer, input-side VC records and
  * output-side VC allocation/credit records.
  *
- * Since the struct-of-arrays layout change, the flit storage of every
- * network FIFO lives in one contiguous slab owned by the network's
- * VcStore (src/router/vc_state.hh); a FlitFifo is then a bound view
- * into its fixed slab slice. A FlitFifo constructed standalone with a
- * capacity (unit tests, tools) owns a private buffer instead — the
- * ring-buffer semantics are identical either way. Indices wrap with a
- * power-of-two mask; the *logical* capacity may still be any value
- * >= 1 (the physical slice is rounded up to the next power of two).
+ * An input VC holds at most one worm: a head enters only a free,
+ * empty VC, and the VC stays the worm's until its tail leaves. The
+ * flits it buffers are therefore always a contiguous run of that
+ * worm's flits, and a WormBuffer describes them with three numbers
+ * instead of storing flits: how many are buffered, the worm index of
+ * the front one, and when the newest one became ready. Flit types
+ * follow from the index and the worm length the InputVc caches.
+ *
+ * Each InputVc record fills exactly one aligned 64-byte cache line,
+ * so the switch phase reads one line per candidate.
  */
 
 #ifndef WORMNET_ROUTER_CHANNEL_HH
 #define WORMNET_ROUTER_CHANNEL_HH
 
-#include <bit>
 #include <cstdint>
-#include <memory>
 
 #include "common/contracts.hh"
 #include "common/log.hh"
@@ -28,161 +28,119 @@
 namespace wormnet
 {
 
-/** Fixed-capacity ring buffer of flits (pow2-masked indexing). */
-class FlitFifo
+/**
+ * The buffered flits of the one worm an input VC holds.
+ *
+ * A flit becomes ready one cycle after it arrives (link/injection
+ * latency). A VC receives at most one flit per cycle: one switch
+ * winner per upstream output port, one injection push per injection
+ * port. So every buffered flit but the newest is ready, and the front
+ * flit is ready iff count > 1 or the newest flit is.
+ */
+struct WormBuffer
 {
-  public:
-    /** Physical slot count backing a logical capacity. */
-    static std::uint32_t
-    slotsFor(std::size_t capacity)
-    {
-        return std::bit_ceil(static_cast<std::uint32_t>(capacity));
-    }
+    /** Flits buffered. */
+    std::uint32_t count = 0;
+    /** Worm index of the front flit (flits this VC already sent). */
+    std::uint32_t front = 0;
+    /** Cycle in which the newest flit becomes ready. */
+    Cycle newestReadyAt = 0;
 
-    /** Unbound view: storage is attached later via bind(). */
-    FlitFifo() = default;
+    bool empty() const { return count == 0; }
 
-    /** Standalone FIFO owning its buffer. */
-    explicit FlitFifo(std::size_t capacity)
-    {
-        WORMNET_ASSERT(capacity >= 1);
-        owned_ = std::make_unique<Flit[]>(slotsFor(capacity));
-        bind(owned_.get(), capacity);
-    }
-
-    /** Point this FIFO at @p slotsFor(capacity) slots at @p buf. */
+    /** Buffer the worm's next flit, arriving in cycle @p now, in a VC
+     *  of @p depth flit slots. */
     void
-    bind(Flit *buf, std::size_t capacity)
+    push(Cycle now, unsigned depth)
     {
-        WORMNET_ASSERT(capacity >= 1);
-        buf_ = buf;
-        cap_ = static_cast<std::uint32_t>(capacity);
-        mask_ = slotsFor(capacity) - 1;
-        head_ = 0;
-        size_ = 0;
+        WORMNET_ASSERT(count < depth, " (worm buffer overflow)");
+        WORMNET_ASSERT(newestReadyAt <= now,
+                       " (second flit in one cycle)");
+        ++count;
+        newestReadyAt = now + 1;
     }
 
-    std::size_t capacity() const { return cap_; }
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    bool full() const { return size_ == cap_; }
+    /** The front flit may be acted upon in cycle @p now. Requires a
+     *  nonempty buffer. */
+    bool
+    frontReady(Cycle now) const
+    {
+        return count > 1 || newestReadyAt <= now;
+    }
 
+    /** Drop the front flit. */
     void
-    push(const Flit &flit)
-    {
-        WORMNET_ASSERT(!full());
-        buf_[(head_ + size_) & mask_] = flit;
-        ++size_;
-    }
-
-    const Flit &
-    front() const
-    {
-        WORMNET_ASSERT(!empty());
-        return buf_[head_];
-    }
-
-    Flit
     pop()
     {
-        WORMNET_ASSERT(!empty());
-        Flit f = buf_[head_];
-        head_ = (head_ + 1) & mask_;
-        --size_;
-        return f;
+        WORMNET_ASSERT(count > 0, " (worm buffer underflow)");
+        --count;
+        ++front;
     }
 
     void
     clear()
     {
-        head_ = 0;
-        size_ = 0;
+        count = 0;
+        front = 0;
+        newestReadyAt = 0;
     }
 
-    /**
-     * Checkpoint support: flits are written in pop order, so a
-     * restored FIFO is normalised to head_ == 0 with identical
-     * logical contents. Capacity is config-fixed and not written.
-     */
     template <typename S>
     void
     saveState(S &s) const
     {
-        s.u32(size_);
-        for (std::uint32_t i = 0; i < size_; ++i) {
-            const Flit &f = buf_[(head_ + i) & mask_];
-            s.u32(f.msg);
-            s.u8(static_cast<std::uint8_t>(f.type));
-            s.u64(f.readyAt);
-        }
+        s.u32(count);
+        s.u32(front);
+        s.u64(newestReadyAt);
     }
 
     template <typename D>
     void
     loadState(D &d)
     {
-        clear();
-        const std::uint32_t n = d.u32();
-        WORMNET_ASSERT(n <= cap_);
-        for (std::uint32_t i = 0; i < n; ++i) {
-            Flit f;
-            f.msg = d.u32();
-            f.type = static_cast<FlitType>(d.u8());
-            f.readyAt = d.u64();
-            push(f);
-        }
+        count = d.u32();
+        front = d.u32();
+        newestReadyAt = d.u64();
     }
-
-  private:
-    Flit *buf_ = nullptr;
-    std::uint32_t cap_ = 0;  ///< logical capacity
-    std::uint32_t mask_ = 0; ///< physical-slot index mask (pow2 - 1)
-    std::uint32_t head_ = 0;
-    std::uint32_t size_ = 0;
-    std::unique_ptr<Flit[]> owned_; ///< standalone mode only
 };
 
 /**
- * Input-side virtual channel: a buffer plus the worm currently using
- * it and its routing decision.
+ * Input-side virtual channel: the worm buffer plus the worm currently
+ * using it and its routing decision. Fields are ordered by size so
+ * that the record fits one cache line.
  */
-struct InputVc
+struct alignas(64) InputVc
 {
-    /** Unbound record for slab-backed storage (VcStore binds the
-     *  fifo). */
-    InputVc() = default;
+    /** When the head's output VC was granted. */
+    Cycle allocCycle = kNever;
 
-    /** Standalone record owning its flit buffer (unit tests). */
-    explicit InputVc(std::size_t buf_depth) : fifo(buf_depth) {}
+    /** Cycle of the first failed routing attempt for the current
+     *  head (detection support). */
+    Cycle headBlockedSince = kNever;
 
-    FlitFifo fifo;
+    WormBuffer buf;
 
     /** Worm occupying this VC (set at head enqueue, cleared at tail
      *  dequeue); kInvalidMsg when free. */
     MsgId msg = kInvalidMsg;
 
-    /** Destination of the occupying worm, cached from the message at
-     *  head enqueue so the routing phase never touches the message
-     *  store. Derived state: rebuilt on checkpoint load. */
+    /** Destination and length in flits of the occupying worm, cached
+     *  from the message at head enqueue so the routing and switch
+     *  phases never touch the message store. Derived state: rebuilt
+     *  on checkpoint load. */
     NodeId dst = kInvalidNode;
+    std::uint32_t length = 0;
 
-    /** @name Routing decision for the occupying worm's head. */
-    /// @{
-    bool routed = false;
-    PortId outPort = kInvalidPort;
-    VcId outVc = kInvalidVc;
-    Cycle allocCycle = kNever; ///< when the output VC was granted
-    /// @}
+    /** Feasible output ports observed at the last failed routing
+     *  attempt (detection support). */
+    PortMask lastFeasible = 0;
 
-    /** @name Blocked-header bookkeeping (detection support). */
-    /// @{
+    PortId outPort = kInvalidPort; ///< granted output port
+    VcId outVc = kInvalidVc;       ///< granted output VC
+    bool routed = false;           ///< the head holds an output VC
+
     /** The current head already had >= 1 failed routing attempt. */
     bool attempted = false;
-    /** Feasible output ports observed at the last failed attempt. */
-    PortMask lastFeasible = 0;
-    /** Cycle of the first failed attempt for the current head. */
-    Cycle headBlockedSince = kNever;
-    /// @}
 
     /** The occupying message is draining into the recovery buffer. */
     bool recovering = false;
@@ -199,12 +157,17 @@ struct InputVc
 
     bool free() const { return msg == kInvalidMsg; }
 
+    /** Type of the front flit. Requires a nonempty buffer. */
+    FlitType frontType() const { return flitTypeAt(buf.front, length); }
+
     /** Reset per-worm state when the worm fully leaves the VC. */
     void
     release()
     {
+        buf.clear();
         msg = kInvalidMsg;
         dst = kInvalidNode;
+        length = 0;
         routed = false;
         outPort = kInvalidPort;
         outVc = kInvalidVc;
@@ -216,13 +179,13 @@ struct InputVc
         injDone = false;
     }
 
-    /** Checkpoint support. inRouteSet, dst and injDone are rebuilt by
-     *  the Network's activity restore, not read back. */
+    /** Checkpoint support. inRouteSet, dst, length and injDone are
+     *  rebuilt by the Network's activity restore, not read back. */
     template <typename S>
     void
     saveState(S &s) const
     {
-        fifo.saveState(s);
+        buf.saveState(s);
         s.u32(msg);
         s.boolean(routed);
         s.u16(outPort);
@@ -238,7 +201,7 @@ struct InputVc
     void
     loadState(D &d)
     {
-        fifo.loadState(d);
+        buf.loadState(d);
         msg = d.u32();
         routed = d.boolean();
         outPort = d.u16();
@@ -250,9 +213,13 @@ struct InputVc
         recovering = d.boolean();
         inRouteSet = false;
         dst = kInvalidNode;
+        length = 0;
         injDone = false;
     }
 };
+
+static_assert(sizeof(InputVc) == 64,
+              "an InputVc record must fill exactly one cache line");
 
 /**
  * Output-side virtual channel: allocation record plus the credit count

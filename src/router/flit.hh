@@ -1,13 +1,15 @@
 /**
  * @file
- * Flit: the unit of flow control in wormhole switching.
+ * Flit types: the unit of flow control in wormhole switching.
  *
  * A message is serialised into a HEAD flit (carrying, conceptually,
  * the routing information), zero or more BODY flits, and a TAIL flit
  * that releases the virtual channels the worm holds. Single-flit
- * messages use HEAD_TAIL. The simulator keeps flits tiny: payload is
- * not modelled, only the owning message id and the cycle at which the
- * flit becomes visible at its current buffer (link staging).
+ * messages use HEAD_TAIL. Flits carry no payload and are not stored
+ * one by one: an input VC holds one worm at a time, so a flit is
+ * fully described by its position in that worm (see WormBuffer in
+ * channel.hh), and its type follows from the position and the
+ * worm's length.
  */
 
 #ifndef WORMNET_ROUTER_FLIT_HH
@@ -18,13 +20,14 @@
 namespace wormnet
 {
 
-/** Position of a flit within its message. */
+/** Position of a flit within its message. The encoding is relied on
+ *  by flitTypeAt(). */
 enum class FlitType : std::uint8_t
 {
-    Head,
-    Body,
-    Tail,
-    HeadTail, ///< single-flit message
+    Head = 0,
+    Body = 1,
+    Tail = 2,
+    HeadTail = 3, ///< single-flit message
 };
 
 /** True for Head and HeadTail. */
@@ -41,31 +44,16 @@ isTailFlit(FlitType t)
     return t == FlitType::Tail || t == FlitType::HeadTail;
 }
 
-/** One flit in a virtual-channel buffer. */
-struct Flit
-{
-    MsgId msg = kInvalidMsg;
-    FlitType type = FlitType::Body;
-    /**
-     * First cycle at which this flit may be acted upon at the router
-     * holding it (models the one-cycle link/injection latency).
-     */
-    Cycle readyAt = 0;
-};
-
 /**
- * Flit type for position @p index within a message of @p length flits.
+ * Flit type for position @p index within a message of @p length
+ * flits, branch-free: head <=> index 0, tail <=> index + 1 == length.
  */
 inline FlitType
 flitTypeAt(unsigned index, unsigned length)
 {
-    if (length == 1)
-        return FlitType::HeadTail;
-    if (index == 0)
-        return FlitType::Head;
-    if (index + 1 == length)
-        return FlitType::Tail;
-    return FlitType::Body;
+    const unsigned head = index == 0;
+    const unsigned tail = index + 1 == length;
+    return static_cast<FlitType>(2 * tail + (head == tail));
 }
 
 } // namespace wormnet

@@ -13,9 +13,7 @@ Router::Router(NodeId node, const RouterParams &params)
     WORMNET_ASSERT(params.numOutPorts() <= 32,
               " (PortMask is 32 bits wide)");
 
-    ownIn_.reserve(params.numInPorts() * params.vcs);
-    for (unsigned i = 0; i < params.numInPorts() * params.vcs; ++i)
-        ownIn_.emplace_back(params.bufDepth);
+    ownIn_.resize(params.numInPorts() * params.vcs);
     ownOut_.resize(params.numOutPorts() * params.vcs);
     for (auto &ovc : ownOut_)
         ovc.credits = params.bufDepth;

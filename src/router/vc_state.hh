@@ -3,20 +3,22 @@
  * Network-global struct-of-arrays virtual-channel storage.
  *
  * Before this layer, every Router owned private std::vectors of
- * InputVc/OutputVc records and every FlitFifo owned a private heap
- * buffer — per-cycle scans pointer-hopped through hundreds of router
- * objects and thousands of tiny allocations. VcStore hoists all of it
- * into three contiguous arrays indexed by a flat (node, port, vc) id:
+ * InputVc/OutputVc records and every flit buffer was a private heap
+ * allocation — per-cycle scans pointer-hopped through hundreds of
+ * router objects and thousands of tiny allocations. VcStore hoists
+ * all of it into two contiguous arrays indexed by a flat
+ * (node, port, vc) id:
  *
  *   in   [node * inPorts  * vcs + port * vcs + vc]   InputVc records
  *   out  [node * outPorts * vcs + port * vcs + vc]   OutputVc records
- *   slab [flatInputId * slotsPerFifo ...]            flit buffers
  *
- * A node's complete VC state is therefore a few adjacent cache lines,
- * and whole-network sweeps (switch allocation, routing, detection,
- * checkpointing) walk dense memory in flat-id order. Router objects
- * stay the API everyone programs against, but become thin views over
- * a node-sized slice of these arrays (see router.hh).
+ * An InputVc record carries its own worm buffer (a flit count, not
+ * flit slots; see channel.hh) and fills one cache line, so a node's
+ * complete VC state is a few adjacent lines, and whole-network sweeps
+ * (switch allocation, routing, detection, checkpointing) walk dense
+ * memory in flat-id order. Router objects stay the API everyone
+ * programs against, but become thin views over a node-sized slice of
+ * these arrays (see router.hh).
  *
  * The arrays are sized once at construction and never reallocate, so
  * raw pointers and flat ids into them stay valid for the lifetime of
@@ -48,17 +50,11 @@ class VcStore
         nodes_ = nodes;
         inPerNode_ = params.numInPorts() * params.vcs;
         outPerNode_ = params.numOutPorts() * params.vcs;
-        slotsPerFifo_ = FlitFifo::slotsFor(params.bufDepth);
 
         in_.clear();
         out_.clear();
         in_.resize(std::size_t(nodes) * inPerNode_);
         out_.resize(std::size_t(nodes) * outPerNode_);
-        slab_.assign(in_.size() * slotsPerFifo_, Flit{});
-
-        for (std::size_t i = 0; i < in_.size(); ++i)
-            in_[i].fifo.bind(&slab_[i * slotsPerFifo_],
-                             params.bufDepth);
         for (OutputVc &ovc : out_)
             ovc.credits = params.bufDepth;
     }
@@ -111,10 +107,8 @@ class VcStore
     NodeId nodes_ = 0;
     unsigned inPerNode_ = 0;
     unsigned outPerNode_ = 0;
-    std::uint32_t slotsPerFifo_ = 0;
     std::vector<InputVc> in_;
     std::vector<OutputVc> out_;
-    std::vector<Flit> slab_;
 };
 
 } // namespace wormnet

@@ -44,8 +44,10 @@ namespace wormnet
  *  v2: control-traffic counters appended to SimStats; DWFG detector
  *  payload (channel mirror + in-flight probe tokens).
  *  v3: NDM stores inactivity run starts (since/runMask/lastCycleEnd)
- *  instead of materialized counters and I/DT flag bytes. */
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+ *  instead of materialized counters and I/DT flag bytes.
+ *  v4: an input VC stores its worm buffer as (count, front index,
+ *  newest ready cycle) instead of a list of flits. */
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /**
  * Atomically write @p payload to @p path under the container

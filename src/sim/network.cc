@@ -292,7 +292,7 @@ Network::replayCredits()
             // worm has a flit buffered and is not being recovered.
             const InputVc &src =
                 routers_[cr.node].inputVc(o.srcPort, o.srcVc);
-            if (!src.recovering && !src.fifo.empty())
+            if (!src.recovering && !src.buf.empty())
                 switchCandVcMask_[std::size_t(cr.node) * outPorts_ +
                                   cr.port] |= std::uint32_t(1)
                                               << cr.vc;
@@ -691,15 +691,14 @@ Network::tryStartInjection(NodeId node)
                 vi -= vcs;
             const VcId v = static_cast<VcId>(vi);
             InputVc &vc = rt.inputVc(port, v);
-            if (vc.free() || vc.injDone || vc.fifo.full())
+            if (vc.free() || vc.injDone ||
+                vc.buf.count >= routerParams_.bufDepth)
                 continue;
             Message &m = messages_.get(vc.msg);
             if (m.flitsInjected == 0)
                 continue;
-            enqueueFlit(rt, port, v,
-                        Flit{m.id,
-                             flitTypeAt(m.flitsInjected, m.length),
-                             now_ + 1});
+            enqueueFlit(rt, port, v, m.id,
+                        flitTypeAt(m.flitsInjected, m.length));
             ++m.flitsInjected;
             if (m.flitsInjected >= m.length) {
                 vc.injDone = true;
@@ -746,8 +745,7 @@ Network::tryStartInjection(NodeId node)
             continue;
         VcId free_vc = kInvalidVc;
         for (VcId v = 0; v < vcs; ++v) {
-            const InputVc &vc = rt.inputVc(port, v);
-            if (vc.free() && vc.fifo.empty()) {
+            if (rt.inputVc(port, v).free()) {
                 free_vc = v;
                 break;
             }
@@ -762,8 +760,7 @@ Network::tryStartInjection(NodeId node)
         m.injectStartCycle = now_;
         m.lastInjectCycle = now_;
         m.flitsInjected = 1;
-        enqueueFlit(rt, port, free_vc,
-                    Flit{id, flitTypeAt(0, m.length), now_ + 1});
+        enqueueFlit(rt, port, free_vc, id, flitTypeAt(0, m.length));
         rt.inputVc(port, free_vc).injDone = m.length <= 1;
         if (m.length > 1)
             ++injIncomplete_[node];
@@ -815,7 +812,7 @@ Network::downstreamVcFree(const Router &rt, PortId out_port,
     if (!down.valid())
         return false; // dangling mesh-edge port
     const InputVc &dvc = routers_[down.node].inputVc(down.port, vc);
-    return dvc.free() && dvc.fifo.empty();
+    return dvc.free();
 }
 
 void
@@ -823,10 +820,9 @@ Network::routeOne(Router &rt, PortId port, VcId v,
                   PortMask fault_mask)
 {
     InputVc &vc = rt.inputVc(port, v);
-    if (vc.free() || vc.routed || vc.recovering || vc.fifo.empty())
-        return;
-    const Flit &head = vc.fifo.front();
-    if (head.readyAt > now_ || !isHeadFlit(head.type))
+    // Only a head (worm index 0) is routed, once it is ready.
+    if (vc.free() || vc.routed || vc.recovering || vc.buf.empty() ||
+        vc.buf.front != 0 || !vc.buf.frontReady(now_))
         return;
 
     const NodeId node = rt.nodeId();
@@ -1031,14 +1027,12 @@ Network::switchAll()
                     InputVc &vc =
                         rt.inputVc(out.srcPort, out.srcVc);
                     WORMNET_ASSERT(vc.routed && vc.outPort == q);
-                    WORMNET_ASSERT(!vc.recovering &&
-                                   !vc.fifo.empty());
+                    WORMNET_ASSERT(!vc.recovering && !vc.buf.empty() &&
+                                   vc.msg == out.msg);
                     if (vc.allocCycle >= now_)
                         continue; // routed this very cycle
-                    const Flit &f = vc.fifo.front();
-                    if (f.readyAt > now_)
+                    if (!vc.buf.frontReady(now_))
                         continue;
-                    WORMNET_ASSERT(f.msg == out.msg);
                     winner = static_cast<int>(v2);
                     wout = &out;
                     wvc = &vc;
@@ -1069,13 +1063,15 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
                    &out == &rt.outputVc(out_port, out_vc));
 
     // Inlined popFlit(): the caller already resolved the input VC.
-    const Flit f = vc.fifo.pop();
+    const MsgId msg = vc.msg;
+    const FlitType type = vc.frontType();
+    vc.buf.pop();
     const LinkEnd &up = rt.upstream(in_port);
     if (up.valid())
         creditReturns_.push_back(
             CreditReturn{up.node, up.port, in_vc});
-    if (isTailFlit(f.type)) {
-        Message &m = messages_.get(f.msg);
+    if (isTailFlit(type)) {
+        Message &m = messages_.get(msg);
         WORMNET_ASSERT(m.numLinks() > 0);
         WORMNET_ASSERT(m.link(0).node == rt.nodeId() &&
                        m.link(0).port == in_port &&
@@ -1090,15 +1086,15 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
                out_port];
 
     if (rt.isEjectionPort(out_port)) {
-        Message &m = messages_.get(f.msg);
+        Message &m = messages_.get(msg);
         ++m.flitsEjected;
         ++stats_.flitsDelivered;
         if (measuring_)
             ++stats_.wFlitsDelivered;
-        if (isTailFlit(f.type)) {
+        if (isTailFlit(type)) {
             releaseOutputVc(rt.nodeId(), out_port, out_vc);
-            markDelivered(f.msg, false);
-        } else if (vc.fifo.empty()) {
+            markDelivered(msg, false);
+        } else if (vc.buf.empty()) {
             // Worm stretched thin: nothing buffered to eject until
             // the next flit arrives from upstream.
             switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
@@ -1110,51 +1106,53 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
 
     WORMNET_ASSERT(out.credits > 0);
     if (--out.credits == 0 ||
-        (!isTailFlit(f.type) && vc.fifo.empty()))
+        (!isTailFlit(type) && vc.buf.empty()))
         switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
                           out_port] &= ~(std::uint32_t(1) << out_vc);
     const LinkEnd &down = rt.downstream(out_port);
     WORMNET_ASSERT(down.valid());
-    enqueueFlit(routers_[down.node], down.port, out_vc,
-                Flit{f.msg, f.type, now_ + 1});
-    if (isTailFlit(f.type))
+    enqueueFlit(routers_[down.node], down.port, out_vc, msg, type);
+    if (isTailFlit(type))
         releaseOutputVc(rt.nodeId(), out_port, out_vc);
 }
 
-Flit
+FlitType
 Network::popFlit(Router &rt, PortId port, VcId v)
 {
     InputVc &vc = rt.inputVc(port, v);
-    const Flit f = vc.fifo.pop();
+    const FlitType type = vc.frontType();
+    vc.buf.pop();
 
     const LinkEnd &up = rt.upstream(port);
     if (up.valid())
         creditReturns_.push_back(CreditReturn{up.node, up.port, v});
 
-    if (isTailFlit(f.type)) {
-        Message &m = messages_.get(f.msg);
+    if (isTailFlit(type)) {
+        Message &m = messages_.get(vc.msg);
         WORMNET_ASSERT(m.numLinks() > 0);
         WORMNET_ASSERT(m.link(0).node == rt.nodeId() &&
                        m.link(0).port == port && m.link(0).vc == v);
         m.popFrontLink();
         releaseInputVc(rt.nodeId(), port, v);
     }
-    return f;
+    return type;
 }
 
 void
-Network::enqueueFlit(Router &rt, PortId port, VcId v,
-                     const Flit &flit)
+Network::enqueueFlit(Router &rt, PortId port, VcId v, MsgId msg,
+                     FlitType type)
 {
     InputVc &vc = rt.inputVc(port, v);
-    if (isHeadFlit(flit.type)) {
-        WORMNET_ASSERT(vc.free() && vc.fifo.empty());
-        Message &m = messages_.get(flit.msg);
-        vc.msg = flit.msg;
-        vc.dst = m.dst; // cached for the routing phase
+    if (isHeadFlit(type)) {
+        WORMNET_ASSERT(vc.free() && vc.buf.empty());
+        Message &m = messages_.get(msg);
+        vc.msg = msg;
+        // Cached for the routing and switch phases.
+        vc.dst = m.dst;
+        vc.length = m.length;
         m.pushLink(rt.nodeId(), port, v);
         syncRoutable(rt.nodeId(), port, v);
-        detector_.onChannelOccupied(rt.nodeId(), port, v, flit.msg);
+        detector_.onChannelOccupied(rt.nodeId(), port, v, msg);
         if (port >= netPorts_) {
             ++injVcBusy_[rt.nodeId()];
             injActive_.insert(rt.nodeId());
@@ -1166,9 +1164,12 @@ Network::enqueueFlit(Router &rt, PortId port, VcId v,
                     ~(std::uint32_t(1) << v);
         }
     }
-    WORMNET_ASSERT(vc.msg == flit.msg);
-    const bool was_empty = vc.fifo.empty();
-    vc.fifo.push(flit);
+    // The VC holds only this worm, whose flits arrive in order.
+    WORMNET_ASSERT(vc.msg == msg &&
+                   flitTypeAt(vc.buf.front + vc.buf.count, vc.length) ==
+                       type);
+    const bool was_empty = vc.buf.empty();
+    vc.buf.push(now_, routerParams_.bufDepth);
     // A body flit reaching a routed-but-starved worm re-arms its
     // granted output VC as a switch candidate (heads are never
     // routed yet, and recovering worms re-qualify on release).
@@ -1256,7 +1257,7 @@ Network::releaseWorm(Message &m)
             o.credits = routerParams_.bufDepth;
         }
 
-        vc.fifo.clear();
+        // Releasing the VC also empties its buffer.
         releaseInputVc(link.node, link.port, link.vc);
     }
     m.clearLinks();
@@ -1319,11 +1320,10 @@ Network::drainHeaderFlit(MsgId msg, FlitType &type)
     Router &rt = routers_[head.node];
     InputVc &vc = rt.inputVc(head.port, head.vc);
     WORMNET_ASSERT(vc.msg == msg && vc.recovering);
-    if (vc.fifo.empty() || vc.fifo.front().readyAt > now_)
+    if (vc.buf.empty() || !vc.buf.frontReady(now_))
         return false;
-    const Flit f = popFlit(rt, head.port, head.vc);
+    type = popFlit(rt, head.port, head.vc);
     ++m.flitsEjected; // consumed into the recovery buffer
-    type = f.type;
     return true;
 }
 
@@ -1466,6 +1466,7 @@ Network::rebuildDerivedState()
                 // Derived caches the checkpoint format omits.
                 const Message &m = messages_.get(vc.msg);
                 vc.dst = m.dst;
+                vc.length = m.length;
                 if (p >= netPorts_) {
                     ++injVcBusy_[node];
                     vc.injDone = m.flitsInjected >= m.length;
@@ -1486,7 +1487,7 @@ Network::rebuildDerivedState()
                 outAllocVcMask_[idx] |= bit;
                 const InputVc &src = rt.inputVc(ovc.srcPort, ovc.srcVc);
                 if ((rt.isEjectionPort(q) || ovc.credits > 0) &&
-                    !src.recovering && !src.fifo.empty())
+                    !src.recovering && !src.buf.empty())
                     switchCandVcMask_[idx] |= bit;
             }
             if (outAllocVcMask_[idx] != 0)
@@ -1536,21 +1537,28 @@ Network::audit() const
                                ":", p, ":", unsigned(v));
                 routable |= std::uint32_t(want) << v;
                 if (vc.free()) {
-                    WORMNET_ASSERT(vc.fifo.empty() && !vc.routed &&
+                    WORMNET_ASSERT(vc.buf.empty() && vc.buf.front == 0 &&
+                                       !vc.routed &&
                                        vc.dst == kInvalidNode &&
-                                       !vc.injDone,
+                                       vc.length == 0 && !vc.injDone,
                                    " at ", node, ":", p, ":",
                                    unsigned(v));
                 } else {
                     WORMNET_ASSERT(vc.msg < messages_.size());
                     const Message &m = messages_.get(vc.msg);
+                    // The buffer holds a run of this worm's flits that
+                    // fits the VC, and a lone flit became ready at
+                    // most one cycle ahead.
                     WORMNET_ASSERT(vc.dst == m.dst &&
-                                       (vc.fifo.empty() ||
-                                        vc.fifo.front().msg == vc.msg),
+                                       vc.length == m.length &&
+                                       vc.buf.count <= depth &&
+                                       vc.buf.front + vc.buf.count <=
+                                           m.length &&
+                                       vc.buf.newestReadyAt <= now_ + 1,
                                    " at ", node, ":", p, ":",
                                    unsigned(v));
                     ++vc_count[vc.msg];
-                    flit_count[vc.msg] += vc.fifo.size();
+                    flit_count[vc.msg] += vc.buf.count;
                     if (p >= netPorts_) {
                         ++inj_busy;
                         WORMNET_ASSERT(vc.injDone == (m.flitsInjected >=
@@ -1620,7 +1628,7 @@ Network::audit() const
                     const InputVc &dvc =
                         routers_[down.node].inputVc(down.port, v);
                     WORMNET_ASSERT(out.credits ==
-                                           depth - dvc.fifo.size() &&
+                                           depth - dvc.buf.count &&
                                        (!out.allocated || dvc.free() ||
                                         dvc.msg == out.msg),
                                    " at ", node, ":", q, ":",
@@ -1638,7 +1646,7 @@ Network::audit() const
                                    src.msg == out.msg,
                                " at ", node, ":", q, ":", unsigned(v));
                 if ((eject || out.credits > 0) && !src.recovering &&
-                    !src.fifo.empty())
+                    !src.buf.empty())
                     scand |= bit;
             }
             const std::size_t idx = std::size_t(node) * outPorts_ + q;

@@ -399,14 +399,16 @@ class Network
      *  (shared by killAndRequeue and killAndAbandon). */
     void releaseWorm(Message &m);
 
-    /** Enqueue @p flit into (router, port, vc), maintaining the
-     *  message/link bookkeeping on head flits. */
-    void enqueueFlit(Router &rt, PortId port, VcId vc,
-                     const Flit &flit);
+    /** Enqueue the next flit (of type @p type) of worm @p msg into
+     *  (router, port, vc), maintaining the message/link bookkeeping
+     *  on head flits. */
+    void enqueueFlit(Router &rt, PortId port, VcId vc, MsgId msg,
+                     FlitType type);
 
     /** Pop the front flit of (router, port, vc) with tail/credit
-     *  bookkeeping shared by switch traversal and recovery drain. */
-    Flit popFlit(Router &rt, PortId port, VcId vc);
+     *  bookkeeping shared by switch traversal and recovery drain;
+     *  returns its type. */
+    FlitType popFlit(Router &rt, PortId port, VcId vc);
 
     /** Apply queued credit returns (creditReturns_) to their output
      *  VCs, re-arming switch candidates that come off zero credits

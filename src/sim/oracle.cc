@@ -39,10 +39,9 @@ findDeadlockedMessages(const Network &net)
             for (VcId v = 0; v < rp.vcs; ++v) {
                 const InputVc &vc = rt.inputVc(p, v);
                 if (vc.free() || vc.routed || vc.recovering ||
-                    vc.fifo.empty())
+                    vc.buf.empty() || vc.buf.front != 0)
                     continue;
-                const Flit &head = vc.fifo.front();
-                if (head.readyAt > now || !isHeadFlit(head.type))
+                if (!vc.buf.frontReady(now))
                     continue; // head in transit: still advancing
 
                 BlockedEntry entry;

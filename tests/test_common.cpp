@@ -153,6 +153,41 @@ TEST(Config, NegativeUintIsFatal)
     EXPECT_THROW(cfg.getUint("n", 0), FatalError);
 }
 
+TEST(Config, UintRejectsSignsTrailingAndOverflow)
+{
+    EXPECT_EQ(parseUintOption("n", "0"), 0u);
+    EXPECT_EQ(parseUintOption("n", "007"), 7u);
+    EXPECT_EQ(parseUintOption("n", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_EQ(parseUintOption("n", "4294967295", UINT32_MAX),
+              UINT32_MAX);
+    for (const char *bad :
+         {"", "abc", "+1", "-1", " 1", "1 ", "1x", "1.5", "0x10",
+          "18446744073709551616"})
+        EXPECT_THROW(parseUintOption("n", bad), FatalError) << bad;
+    EXPECT_THROW(parseUintOption("n", "4294967296", UINT32_MAX),
+                 FatalError);
+
+    Config cfg;
+    cfg.set("n", "12abc");
+    EXPECT_THROW(cfg.getUint("n", 0), FatalError);
+}
+
+TEST(Config, DoubleRejectsSignsTrailingAndOverflow)
+{
+    EXPECT_DOUBLE_EQ(parseDoubleOption("x", "0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(parseDoubleOption("x", ".5"), 0.5);
+    EXPECT_DOUBLE_EQ(parseDoubleOption("x", "1e-5"), 1e-5);
+    EXPECT_DOUBLE_EQ(parseDoubleOption("x", "3"), 3.0);
+    for (const char *bad : {"", "abc", "+0.5", "-0.5", " 1", "1 ",
+                            "0.5x", "1e999", "inf", "nan", "0x1p3"})
+        EXPECT_THROW(parseDoubleOption("x", bad), FatalError) << bad;
+
+    Config cfg;
+    cfg.set("x", "0.2.1");
+    EXPECT_THROW(cfg.getDouble("x", 0.0), FatalError);
+}
+
 TEST(Config, BoolSynonyms)
 {
     Config cfg;

@@ -180,7 +180,7 @@ TEST(Regressive, KillRestoresChannelState)
             for (VcId v = 0; v < rp.vcs; ++v) {
                 const InputVc &vc = rt.inputVc(p, v);
                 EXPECT_TRUE(vc.free());
-                EXPECT_TRUE(vc.fifo.empty());
+                EXPECT_TRUE(vc.buf.empty());
             }
         }
         for (PortId q = 0; q < rp.numOutPorts(); ++q) {

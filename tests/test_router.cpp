@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the router data model (FIFOs, VC records, router
+ * Unit tests for the router data model (worm buffers, VC records, router
  * helpers) and for single-message flit transport through a small
  * network: pipeline timing, wormhole spreading, buffer bounds and
  * flit conservation.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,36 +22,82 @@ namespace wormnet
 namespace
 {
 
-TEST(FlitFifo, PushPopOrder)
+/** Passes a whole worm of @p length flits through a fresh VC, each
+ *  flit popped once it is ready, and returns the popped types. */
+std::vector<FlitType>
+wormTypes(unsigned length)
 {
-    FlitFifo fifo(4);
-    EXPECT_TRUE(fifo.empty());
-    for (unsigned i = 0; i < 4; ++i)
-        fifo.push(Flit{i, FlitType::Body, 0});
-    EXPECT_TRUE(fifo.full());
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(fifo.pop().msg, i);
-    EXPECT_TRUE(fifo.empty());
-}
-
-TEST(FlitFifo, WrapsAround)
-{
-    FlitFifo fifo(3);
-    for (unsigned round = 0; round < 10; ++round) {
-        fifo.push(Flit{round, FlitType::Body, 0});
-        EXPECT_EQ(fifo.pop().msg, round);
+    InputVc vc;
+    vc.msg = 1;
+    vc.length = length;
+    std::vector<FlitType> types;
+    Cycle now = 0;
+    for (unsigned i = 0; i < length; ++i, ++now) {
+        vc.buf.push(now, 4);
+        EXPECT_TRUE(vc.buf.frontReady(now + 1));
+        EXPECT_EQ(vc.buf.front, i);
+        types.push_back(vc.frontType());
+        vc.buf.pop();
     }
-    EXPECT_TRUE(fifo.empty());
+    EXPECT_TRUE(vc.buf.empty());
+    return types;
 }
 
-TEST(FlitFifo, OverflowAndUnderflowPanic)
+TEST(WormBuffer, TypeSequence)
 {
-    FlitFifo fifo(2);
-    fifo.push(Flit{});
-    fifo.push(Flit{});
-    EXPECT_THROW(fifo.push(Flit{}), PanicError);
-    fifo.clear();
-    EXPECT_THROW(fifo.pop(), PanicError);
+    EXPECT_EQ(wormTypes(1), std::vector<FlitType>{FlitType::HeadTail});
+    EXPECT_EQ(wormTypes(2),
+              (std::vector<FlitType>{FlitType::Head, FlitType::Tail}));
+    std::vector<FlitType> sixteen(16, FlitType::Body);
+    sixteen.front() = FlitType::Head;
+    sixteen.back() = FlitType::Tail;
+    EXPECT_EQ(wormTypes(16), sixteen);
+}
+
+TEST(WormBuffer, ReadyRule)
+{
+    // A lone flit is ready from the cycle after it arrived.
+    WormBuffer buf;
+    buf.push(10, 4);
+    EXPECT_FALSE(buf.frontReady(10));
+    EXPECT_TRUE(buf.frontReady(11));
+
+    // With two or more buffered, the front arrived at least a cycle
+    // before the newest and is ready although the newest is not.
+    buf.push(11, 4);
+    EXPECT_EQ(buf.count, 2u);
+    EXPECT_EQ(buf.newestReadyAt, 12u);
+    EXPECT_TRUE(buf.frontReady(11));
+    buf.push(12, 4);
+    EXPECT_TRUE(buf.frontReady(12));
+
+    // Popping down to the flit that arrived this cycle makes the
+    // front unready again until the next cycle.
+    buf.pop();
+    buf.pop();
+    EXPECT_EQ(buf.front, 2u);
+    EXPECT_EQ(buf.count, 1u);
+    EXPECT_FALSE(buf.frontReady(12));
+    EXPECT_TRUE(buf.frontReady(13));
+}
+
+TEST(WormBuffer, SecondPushInOneCyclePanics)
+{
+    WormBuffer buf;
+    buf.push(5, 4);
+    EXPECT_THROW(buf.push(5, 4), PanicError);
+    EXPECT_NO_THROW(buf.push(6, 4));
+}
+
+TEST(WormBuffer, OverflowAndUnderflowPanic)
+{
+    WormBuffer buf;
+    buf.push(0, 2);
+    buf.push(1, 2);
+    EXPECT_THROW(buf.push(2, 2), PanicError);
+    buf.clear();
+    EXPECT_TRUE(buf.empty());
+    EXPECT_THROW(buf.pop(), PanicError);
 }
 
 TEST(FlitTypes, PositionMapping)
@@ -67,8 +115,10 @@ TEST(FlitTypes, PositionMapping)
 
 TEST(InputVc, ReleaseResetsWormState)
 {
-    InputVc vc(4);
+    InputVc vc;
     vc.msg = 7;
+    vc.length = 3;
+    vc.buf.push(0, 4);
     vc.routed = true;
     vc.outPort = 2;
     vc.outVc = 1;
@@ -77,6 +127,9 @@ TEST(InputVc, ReleaseResetsWormState)
     vc.recovering = true;
     vc.release();
     EXPECT_TRUE(vc.free());
+    EXPECT_TRUE(vc.buf.empty());
+    EXPECT_EQ(vc.buf.front, 0u);
+    EXPECT_EQ(vc.length, 0u);
     EXPECT_FALSE(vc.routed);
     EXPECT_EQ(vc.outPort, kInvalidPort);
     EXPECT_FALSE(vc.attempted);
@@ -271,7 +324,7 @@ TEST_F(SingleMessage, WormSpreadsOverMultipleRouters)
 
 TEST_F(SingleMessage, BuffersNeverOverflow)
 {
-    // Buffer bounds are asserted inside FlitFifo::push; a run with
+    // Buffer bounds are asserted inside WormBuffer::push; a run with
     // many concurrent messages exercises them.
     SimulationConfig cfg = baseConfig();
     cfg.radix = 4;
