@@ -3,21 +3,18 @@
 #
 #   scripts/run_sanitized.sh            # ASan+UBSan, full suite
 #   scripts/run_sanitized.sh asan       # same
-#   scripts/run_sanitized.sh ubsan      # UBSan alone, full suite
 #   scripts/run_sanitized.sh tsan       # TSan, parallel-engine tests
-#   scripts/run_sanitized.sh all        # all three, in sequence
+#   scripts/run_sanitized.sh all        # both, in sequence
 #
 # Sanitizer matrix (WORMNET_SANITIZE in the top-level CMakeLists):
 #   address -> -fsanitize=address,undefined  (ASan AND UBSan; the
 #              "asan" mode here has always included UBSan)
-#   ubsan   -> -fsanitize=undefined          (UBSan alone: ~native
-#              speed, no ASan memory overhead)
 #   thread  -> -fsanitize=thread             (TSan; exclusive of ASan)
 #
-# Each sanitizer uses its own build tree (build-asan / build-ubsan /
-# build-tsan) so the normal build stays untouched. Any sanitizer
-# report fails the run: ASan and TSan abort on errors by default, and
-# halt_on_error makes UBSan do the same.
+# Each sanitizer uses its own build tree (build-asan / build-tsan) so
+# the normal build stays untouched. Any sanitizer report fails the
+# run: ASan and TSan abort on errors by default, and halt_on_error
+# makes UBSan do the same.
 #
 # The TSan pass runs the tests that exercise parallelFor and the
 # parallel experiment harness (test_parallel, test_experiment) and
@@ -42,16 +39,6 @@ run_asan() {
     ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 }
 
-run_ubsan() {
-    local build_dir=${UBSAN_BUILD_DIR:-build-ubsan}
-    cmake -B "$build_dir" -S . -DWORMNET_SANITIZE=ubsan \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build "$build_dir" -j "$(nproc)"
-
-    UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
-    ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-}
-
 run_tsan() {
     local build_dir=${TSAN_BUILD_DIR:-build-tsan}
     cmake -B "$build_dir" -S . -DWORMNET_SANITIZE=thread \
@@ -66,11 +53,10 @@ run_tsan() {
 
 case "$MODE" in
     asan) run_asan ;;
-    ubsan) run_ubsan ;;
     tsan) run_tsan ;;
-    all) run_asan; run_ubsan; run_tsan ;;
+    all) run_asan; run_tsan ;;
     *)
-        echo "usage: $0 [asan|ubsan|tsan|all]" >&2
+        echo "usage: $0 [asan|tsan|all]" >&2
         exit 2
         ;;
 esac

@@ -86,20 +86,6 @@ Config::getString(const std::string &key, const std::string &def) const
     return it == values_.end() ? def : it->second;
 }
 
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return def;
-    char *end = nullptr;
-    const long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --", key, ": '", it->second,
-              "' is not an integer");
-    return v;
-}
-
 std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {

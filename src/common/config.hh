@@ -47,10 +47,6 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def = "") const;
 
-    /** Integer getter with default; fatal() on malformed value. */
-    std::int64_t getInt(const std::string &key,
-                        std::int64_t def = 0) const;
-
     /** Unsigned getter with default; parsed by parseUintOption(). */
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t def = 0) const;

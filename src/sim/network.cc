@@ -93,19 +93,12 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     freeScratch_.reserve(std::size_t(outPorts_) * vcs_);
     blockedCandScratch_.reserve(outPorts_);
 
-    candMsg_.assign(std::size_t(n) * inPorts_ * vcs_, kInvalidMsg);
-    candCount_.assign(candMsg_.size(), 0);
-    candPort_.assign(candMsg_.size() * outPorts_, 0);
-    candMask_.assign(candMsg_.size() * outPorts_, 0);
-    candPortOv_.reserve(2 * outPorts_);
-    candMaskOv_.reserve(2 * outPorts_);
     injSlots_ = routerParams_.injPorts * vcs_;
 
     // Every VC starts free: all derived state is zero except the
     // downstream-free lanes (ejection ports always accept, dangling
     // mesh-edge ports never do, network links start all free).
     routeActive_.init(n);
-    injActive_.init(n);
     routableVcMask_.assign(std::size_t(n) * inPorts_, 0);
     outAllocVcMask_.assign(std::size_t(n) * outPorts_, 0);
     downFreeVcMask_.assign(std::size_t(n) * outPorts_, 0);
@@ -210,15 +203,6 @@ Network::syncRoutable(NodeId node, PortId port, VcId vc)
 }
 
 void
-Network::syncInjActive(NodeId node)
-{
-    if (!sourceQueues_[node].empty() || injVcBusy_[node] > 0)
-        injActive_.insert(node);
-    else
-        injActive_.erase(node);
-}
-
-void
 Network::allocOutputVc(NodeId node, PortId port, VcId vc, MsgId msg,
                        PortId src_port, VcId src_vc)
 {
@@ -268,7 +252,6 @@ Network::releaseInputVc(NodeId node, PortId port, VcId vc)
         --injVcBusy_[node];
         if (mid_injection)
             --injIncomplete_[node];
-        syncInjActive(node);
     } else {
         // The lane upstream of this VC can host a new worm again.
         const LinkEnd &up = routers_[node].upstream(port);
@@ -319,7 +302,6 @@ Network::pushSource(NodeId node, MsgId msg, bool at_front)
     else
         sourceQueues_[node].push_back(msg);
     ++totalQueuedCount_;
-    injActive_.insert(node);
 }
 
 MsgId
@@ -328,7 +310,6 @@ Network::popSource(NodeId node)
     const MsgId msg = sourceQueues_[node].front();
     sourceQueues_[node].pop_front();
     --totalQueuedCount_;
-    syncInjActive(node);
     return msg;
 }
 
@@ -352,13 +333,6 @@ void
 Network::setRoutingFunction(RoutingFunction &routing)
 {
     routing_ = &routing;
-    invalidateRouteCache();
-}
-
-void
-Network::invalidateRouteCache()
-{
-    std::fill(candMsg_.begin(), candMsg_.end(), kInvalidMsg);
 }
 
 void
@@ -382,9 +356,6 @@ Network::resetBlockedHeads()
             }
         }
     });
-    // The cached candidate lists were computed under the old routing
-    // relation.
-    invalidateRouteCache();
     detector_.onRoutingChanged();
 }
 
@@ -651,7 +622,7 @@ Network::generateAndInject()
                 pushSource(node, id, false);
             }
         }
-        if (injActive_.contains(node))
+        if (injVcBusy_[node] != 0 || !sourceQueues_[node].empty())
             tryStartInjection(node);
     }
 }
@@ -827,47 +798,7 @@ Network::routeOne(Router &rt, PortId port, VcId v,
 
     const NodeId node = rt.nodeId();
 
-    // The routing function is pure in (node, dst, in_port, in_vc),
-    // so a blocked head re-presents identical candidates every cycle:
-    // serve them from the per-VC cache and only call route() when the
-    // occupant changed (or the relation did — bulk invalidation).
-    const std::size_t flat =
-        (std::size_t(node) * inPorts_ + port) * vcs_ + v;
-    const std::uint16_t *cports;
-    const std::uint32_t *cmasks;
-    unsigned ncand;
-    if (candMsg_[flat] == vc.msg) {
-        cports = &candPort_[flat * outPorts_];
-        cmasks = &candMask_[flat * outPorts_];
-        ncand = candCount_[flat];
-    } else {
-        routing_->route(node, vc.dst, port, v, candScratch_);
-        ncand = static_cast<unsigned>(candScratch_.size());
-        if (ncand <= outPorts_) {
-            std::uint16_t *cp = &candPort_[flat * outPorts_];
-            std::uint32_t *cm = &candMask_[flat * outPorts_];
-            for (unsigned i = 0; i < ncand; ++i) {
-                cp[i] = candScratch_[i].port;
-                cm[i] = candScratch_[i].vcMask;
-            }
-            candCount_[flat] = static_cast<std::uint8_t>(ncand);
-            candMsg_[flat] = vc.msg;
-            cports = cp;
-            cmasks = cm;
-        } else {
-            // Wider than the cache line for this VC: spill, marked
-            // uncacheable so the next attempt re-routes.
-            candPortOv_.clear();
-            candMaskOv_.clear();
-            for (const auto &cand : candScratch_) {
-                candPortOv_.push_back(cand.port);
-                candMaskOv_.push_back(cand.vcMask);
-            }
-            candMsg_[flat] = kInvalidMsg;
-            cports = candPortOv_.data();
-            cmasks = candMaskOv_.data();
-        }
-    }
+    routing_->route(node, vc.dst, port, v, candScratch_);
 
     freeScratch_.clear();
     PortMask feasible = 0;
@@ -875,8 +806,8 @@ Network::routeOne(Router &rt, PortId port, VcId v,
         &outAllocVcMask_[std::size_t(node) * outPorts_];
     const std::uint32_t *dfree =
         &downFreeVcMask_[std::size_t(node) * outPorts_];
-    for (unsigned i = 0; i < ncand; ++i) {
-        const PortId q = static_cast<PortId>(cports[i]);
+    for (const RouteCandidate &cand : candScratch_) {
+        const PortId q = cand.port;
         if ((fault_mask >> q) & 1u)
             continue; // dead link: not a feasible channel
         feasible |= PortMask(1) << q;
@@ -884,7 +815,7 @@ Network::routeOne(Router &rt, PortId port, VcId v,
         // downstream — the same test the per-VC scan made, one load
         // per physical channel instead of three pointer chases per
         // lane, visited in the identical ascending-VC order.
-        std::uint32_t mask = cmasks[i] & ~alloc[q] & dfree[q];
+        std::uint32_t mask = cand.vcMask & ~alloc[q] & dfree[q];
         while (mask) {
             const VcId v2 =
                 static_cast<VcId>(__builtin_ctz(mask));
@@ -893,7 +824,7 @@ Network::routeOne(Router &rt, PortId port, VcId v,
         }
     }
 
-    if (feasible == 0 && ncand != 0) {
+    if (feasible == 0 && !candScratch_.empty()) {
         // Every channel the routing function offers is faulted: the
         // head can never advance, and judging dead channels would be
         // a guaranteed false deadlock. Hand the worm to the fault
@@ -933,11 +864,11 @@ Network::routeOne(Router &rt, PortId port, VcId v,
     vc.lastFeasible = feasible;
     if (detectorWantsCandidates_) {
         blockedCandScratch_.clear();
-        for (unsigned i = 0; i < ncand; ++i) {
-            if ((fault_mask >> cports[i]) & 1u)
+        for (const RouteCandidate &cand : candScratch_) {
+            if ((fault_mask >> cand.port) & 1u)
                 continue;
-            blockedCandScratch_.push_back(BlockedCandidate{
-                static_cast<PortId>(cports[i]), cmasks[i]});
+            blockedCandScratch_.push_back(
+                BlockedCandidate{cand.port, cand.vcMask});
         }
         detector_.onBlockedCandidates(
             node, port, v, vc.msg, blockedCandScratch_.data(),
@@ -1155,7 +1086,6 @@ Network::enqueueFlit(Router &rt, PortId port, VcId v, MsgId msg,
         detector_.onChannelOccupied(rt.nodeId(), port, v, msg);
         if (port >= netPorts_) {
             ++injVcBusy_[rt.nodeId()];
-            injActive_.insert(rt.nodeId());
         } else {
             const LinkEnd &up = rt.upstream(port);
             if (up.valid())
@@ -1446,7 +1376,6 @@ Network::rebuildDerivedState()
 {
     const NodeId n = numNodes();
     routeActive_.init(n);
-    injActive_.init(n);
     routableVcMask_.assign(std::size_t(n) * inPorts_, 0);
     outAllocVcMask_.assign(std::size_t(n) * outPorts_, 0);
     downFreeVcMask_.assign(std::size_t(n) * outPorts_, 0);
@@ -1493,7 +1422,6 @@ Network::rebuildDerivedState()
             if (outAllocVcMask_[idx] != 0)
                 allocOutMask_[node] |= PortMask(1) << q;
         }
-        syncInjActive(node);
         // A restored detector already reflects the dead ports at
         // save time; only the Network's view of it is rebuilt.
         detectorDeadMask_[node] = deadOutMask(node);
@@ -1506,7 +1434,6 @@ Network::audit() const
     // Per-message tallies accumulated while walking the routers.
     std::vector<std::size_t> vc_count(messages_.size(), 0);
     std::vector<std::size_t> flit_count(messages_.size(), 0);
-    std::vector<RouteCandidate> fresh;
     std::size_t queued = 0;
     std::size_t tx_nodes = 0;
     const unsigned depth = routerParams_.bufDepth;
@@ -1578,23 +1505,6 @@ Network::audit() const
                                        unsigned(v));
                     }
                 }
-                // A cache entry must reproduce a fresh route() call
-                // for its occupant (ids are never recycled, so the
-                // cached msg pins the dst even after delivery).
-                const std::size_t flat =
-                    (std::size_t(node) * inPorts_ + p) * vcs_ + v;
-                if (candMsg_[flat] == kInvalidMsg)
-                    continue;
-                routing_->route(node, messages_.get(candMsg_[flat]).dst,
-                                p, v, fresh);
-                bool same = candCount_[flat] == fresh.size();
-                for (std::size_t i = 0; same && i < fresh.size(); ++i)
-                    same = candPort_[flat * outPorts_ + i] ==
-                               fresh[i].port &&
-                           candMask_[flat * outPorts_ + i] ==
-                               fresh[i].vcMask;
-                WORMNET_ASSERT(same, " at ", node, ":", p, ":",
-                               unsigned(v));
             }
             WORMNET_ASSERT(
                 routableVcMask_[std::size_t(node) * inPorts_ + p] ==
@@ -1604,10 +1514,7 @@ Network::audit() const
         }
         WORMNET_ASSERT(routeActive_.contains(node) == any_routable &&
                            injVcBusy_[node] == inj_busy &&
-                           injIncomplete_[node] == inj_incomplete &&
-                           injActive_.contains(node) ==
-                               (!sourceQueues_[node].empty() ||
-                                inj_busy > 0),
+                           injIncomplete_[node] == inj_incomplete,
                        " at ", node);
 
         PortMask alloc_ports = 0;
@@ -1831,7 +1738,6 @@ Network::loadState(Deserializer &d)
     }
 
     rebuildDerivedState();
-    invalidateRouteCache();
 
     // Per-cycle scratch and memoisation: clean slate.
     std::fill(txMask_.begin(), txMask_.end(), 0);

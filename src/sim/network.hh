@@ -300,8 +300,8 @@ class Network
 
     /**
      * Recompute every derived structure (VC masks, node sets,
-     * injection and queue counters, cached VC fields, route cache)
-     * from router VCs, messages and source queues in one walk, and
+     * injection and queue counters, cached VC fields) from router
+     * VCs, messages and source queues in one walk, and
      * check the structural invariants between them: routed input and
      * allocated output VCs point at each other, credits match
      * downstream occupancy, live worms' paths run along real links
@@ -312,7 +312,7 @@ class Network
      */
     void audit() const;
 
-    /** @name Phase timers (microbenchmark support).
+    /** @name Phase timers (read by perfbench's traced mode).
      *
      * When enabled, step() accumulates wall-clock nanoseconds spent
      * in the routing/VC-allocation phase (VA) and the switch
@@ -432,10 +432,6 @@ class Network
      *  @p node's routeActive_ membership after any mutation of its
      *  msg/routed/recovering state. */
     void syncRoutable(NodeId node, PortId port, VcId vc);
-
-    /** Re-derive @p node's active-injector set membership from its
-     *  source queue and injection-VC occupancy. */
-    void syncInjActive(NodeId node);
 
     /** Allocate output (port, vc) of @p node to @p msg coming from
      *  input (src_port, src_vc), with mask and node-set upkeep. */
@@ -605,10 +601,6 @@ class Network
     std::vector<std::uint16_t> injIncomplete_;
     /** Injection VC slots per node (injPorts * vcs). */
     unsigned injSlots_ = 0;
-    /** Nodes with a nonempty source queue or an occupied injection
-     *  VC (the only ones tryStartInjection can do anything for). */
-    NodeBitset injActive_;
-
     /** Nodes owed a detector cycle-end call (active now, or active
      *  at their previous call: one trailing reset call). */
     NodeBitset detActive_;
@@ -627,26 +619,8 @@ class Network
      *  behind totalQueued()). */
     std::size_t totalQueuedCount_ = 0;
 
-    /** Route-candidate cache, keyed by flat input-VC id: the routing
-     *  function is pure in (node, dst, in_port, in_vc), so a blocked
-     *  head re-presents identical candidates every cycle until it is
-     *  granted. candMsg_ names the message an entry describes
-     *  (kInvalidMsg = empty/uncacheable); entries are invalidated in
-     *  bulk whenever the routing relation changes. */
-    std::vector<MsgId> candMsg_;
-    std::vector<std::uint8_t> candCount_;
-    std::vector<std::uint16_t> candPort_; ///< [flatIn * outPorts_ + i]
-    std::vector<std::uint32_t> candMask_;
-    /** Spill buffers for candidate lists wider than outPorts_. */
-    std::vector<std::uint16_t> candPortOv_;
-    std::vector<std::uint32_t> candMaskOv_;
-
     /** Run audit() at the end of every step(). */
     bool auditEachStep_ = false;
-
-    /** Drop every candidate-cache entry (routing relation changed
-     *  or state restored from a checkpoint). */
-    void invalidateRouteCache();
 
     /** Recompute the VC masks, the node sets other than the
      *  history-bearing detActive_, the injection counters,

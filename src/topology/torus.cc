@@ -53,16 +53,20 @@ KAryNCube::minimalSteps(NodeId src, NodeId dst,
                         MinimalSteps &steps) const
 {
     WORMNET_ASSERT(src < numNodes_ && dst < numNodes_);
+    // Peel one base-radix digit per dimension: one division per node
+    // and dimension (routing calls this on every header attempt).
     for (unsigned d = 0; d < dims_; ++d) {
-        const unsigned sc = coordinate(src, d);
-        const unsigned dc = coordinate(dst, d);
+        const unsigned sc = src % radix_;
+        const unsigned dc = dst % radix_;
+        src /= radix_;
+        dst /= radix_;
         DimStep &step = steps[d];
         if (sc == dc) {
             step.dirMask = 0;
             step.hops = 0;
             continue;
         }
-        const unsigned fwd = (dc + radix_ - sc) % radix_;
+        const unsigned fwd = dc > sc ? dc - sc : dc + radix_ - sc;
         const unsigned bwd = radix_ - fwd;
         if (fwd < bwd) {
             step.dirMask = 0x1;

@@ -14,7 +14,13 @@
 #include "common/log.hh"
 #include "core/simulation.hh"
 #include "detector_fixture.hh"
+#include "detection/timeout.hh"
+#include "routing/routing.hh"
+#include "sim/network.hh"
 #include "sim/reconfig.hh"
+#include "topology/mesh.hh"
+#include "traffic/length.hh"
+#include "traffic/pattern.hh"
 
 namespace wormnet
 {
@@ -186,6 +192,97 @@ TEST(ReconfigLive, RoutingSwitchUnderLoad)
     // Traffic keeps flowing across both switches.
     EXPECT_GT(sim.net().stats().delivered, delivered_before);
     EXPECT_TRUE(mgr->settled());
+}
+
+/** Records the last routing failure the network reported. */
+class FailureSpy : public NullDetector
+{
+  public:
+    bool
+    onRoutingFailed(NodeId, PortId, VcId, MsgId msg, PortMask feasible,
+                    bool, bool first, Cycle) override
+    {
+        lastMsg = msg;
+        lastFeasible = feasible;
+        lastFirst = first;
+        ++failures;
+        return false;
+    }
+
+    MsgId lastMsg = kInvalidMsg;
+    PortMask lastFeasible = 0;
+    bool lastFirst = false;
+    unsigned failures = 0;
+};
+
+TEST(ReconfigLive, RoutingSwapReachesBlockedHeadNextCycle)
+{
+    // 3x3 mesh, one VC per channel. Long worms A (+x) and C (+y) hold
+    // node 0's two outputs while head B, bound for the diagonal
+    // neighbour, blocks: fully adaptive routing offers it both ports,
+    // dimension order only +x.
+    KAryNMesh topo(3, 2);
+    UniformPattern pattern(topo);
+    FixedLength lengths(16);
+    NetworkParams np;
+    np.vcs = 1;
+    np.injPorts = 3;
+    np.ejePorts = 1;
+    np.injectionLimit = false;
+    np.selection = VcSelection::FirstFit;
+    RouterParams rp;
+    rp.netPorts = topo.numNetPorts();
+    rp.injPorts = np.injPorts;
+    rp.ejePorts = np.ejePorts;
+    rp.vcs = np.vcs;
+    rp.bufDepth = np.bufDepth;
+    TrueFullyAdaptiveRouting tfa(topo, rp);
+    DimensionOrderRouting dor(topo, rp);
+    FailureSpy spy;
+    Network net(topo, np, tfa, spy, nullptr, pattern, lengths, 0.0, 3);
+
+    const PortId px = Topology::outPort(0, true);
+    const PortId py = Topology::outPort(1, true);
+    const NodeId east = topo.neighbor(0, 0, true);
+    const NodeId north = topo.neighbor(0, 1, true);
+    const NodeId diag = topo.neighbor(east, 1, true);
+    const MsgId a = net.injectMessage(0, east, 64);
+    const MsgId c = net.injectMessage(0, north, 64);
+    net.run(4);
+    ASSERT_EQ(net.router(0).outputVc(px, 0).msg, a);
+    ASSERT_EQ(net.router(0).outputVc(py, 0).msg, c);
+
+    const MsgId b = net.injectMessage(0, diag, 8);
+    const InputVc *head = nullptr;
+    for (int i = 0; i < 8 && !(head && head->attempted); ++i) {
+        net.step();
+        for (PortId p = rp.netPorts; p < rp.numInPorts(); ++p)
+            if (net.router(0).inputVc(p, 0).msg == b)
+                head = &net.router(0).inputVc(p, 0);
+    }
+    ASSERT_NE(head, nullptr);
+    ASSERT_TRUE(head->attempted);
+    const PortMask both = (PortMask(1) << px) | (PortMask(1) << py);
+    EXPECT_EQ(head->lastFeasible, both);
+    EXPECT_EQ(spy.lastMsg, b);
+    EXPECT_EQ(spy.lastFeasible, both);
+
+    net.setRoutingFunction(dor);
+    net.resetBlockedHeads();
+    EXPECT_FALSE(head->attempted);
+    EXPECT_EQ(head->lastFeasible, 0u);
+
+    const unsigned failures = spy.failures;
+    net.step();
+    // The next attempt is a fresh first try under the new relation.
+    ASSERT_FALSE(head->routed);
+    EXPECT_TRUE(head->attempted);
+    EXPECT_EQ(head->lastFeasible, PortMask(1) << px);
+    EXPECT_EQ(spy.failures, failures + 1);
+    EXPECT_EQ(spy.lastMsg, b);
+    EXPECT_TRUE(spy.lastFirst);
+    EXPECT_EQ(spy.lastFeasible, PortMask(1) << px);
+    net.audit();
 }
 
 TEST(ReconfigLive, SaturatedEpochKillsAndRedeliversWorms)
