@@ -136,7 +136,7 @@ buildReport(const Simulation &sim, const ReportOptions &options)
         for (NodeId n = 0; n < net.numNodes(); ++n) {
             for (PortId q = 0; q < net.routerParams().netPorts;
                  ++q) {
-                if (net.router(n).downstream(q).valid())
+                if (net.downstream(n, q).valid())
                     hot.push_back(
                         Hot{net.channelUtilization(n, q), n, q});
             }

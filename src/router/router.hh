@@ -1,23 +1,24 @@
 /**
  * @file
- * Router state container.
+ * Router shape and per-router view.
  *
- * A Router owns the input-side virtual-channel buffers, the
- * output-side allocation/credit records and the link wiring, matching
- * the paper's router model: a physical channel per network direction
+ * The paper's router is a physical channel per network direction
  * split into V virtual channels with private flit buffers, a crossbar
  * that moves at most one flit per output physical channel per cycle,
  * and multi-port injection/ejection ("four-port architecture").
  *
- * The per-cycle algorithms (routing, switch allocation, credit return)
- * live in sim/Network; the Router provides the state plus small
- * invariant-preserving helpers so those algorithms stay readable.
+ * All of that state lives in flat Network-owned tables: the VC
+ * records in VcStore (vc_state.hh), and the link wiring and the
+ * round-robin arbitration pointers in per-port tables inside
+ * sim/Network. The per-cycle algorithms (routing, switch allocation,
+ * credit return) index those tables directly and never go through a
+ * Router. A Router is a thin view over one node's slice of the VC
+ * store, kept for the code that reasons about one router at a time:
+ * detectors, recovery managers, the oracle and tests.
  */
 
 #ifndef WORMNET_ROUTER_ROUTER_HH
 #define WORMNET_ROUTER_ROUTER_HH
-
-#include <vector>
 
 #include "common/types.hh"
 #include "common/contracts.hh"
@@ -49,23 +50,12 @@ struct LinkEnd
 };
 
 /**
- * One router's complete state.
- *
- * Since the struct-of-arrays layout change the VC records of every
- * router in a network live in the Network's global VcStore arrays
- * (vc_state.hh); a network-owned Router is a thin view over its
- * node-sized slice, so detectors, recovery managers, the oracle and
- * checkpoint code keep programming against the same API while the
- * per-cycle sweeps walk dense contiguous memory. A Router constructed
- * standalone (unit tests, tools) owns private backing vectors with
- * identical semantics.
+ * One router's VC state: a view over the node-sized slices of the
+ * Network's VcStore arrays.
  */
 class Router
 {
   public:
-    /** Standalone router owning its VC storage. */
-    Router(NodeId node, const RouterParams &params);
-
     /** View over externally owned VC arrays (VcStore slices); @p in
      *  and @p out must stay valid for the router's lifetime. */
     Router(NodeId node, const RouterParams &params, InputVc *in,
@@ -120,7 +110,7 @@ class Router
         return out_[port * params_.vcs + vc];
     }
 
-    /** @name Raw slice access (hot-path sweeps in sim/Network). */
+    /** @name Raw slice access. */
     /// @{
     InputVc *inputVcs() { return in_; }
     const InputVc *inputVcs() const { return in_; }
@@ -128,55 +118,7 @@ class Router
     const OutputVc *outputVcs() const { return out_; }
     /// @}
 
-    /** All virtual channels of input physical channel @p port busy? */
-    bool inputPcFullyBusy(PortId port) const;
-
-    /** Any output VC of @p port currently allocated to a worm? */
-    bool outputPcOccupied(PortId port) const;
-
-    /** Count of allocated output VCs on *network* ports (used by the
-     *  injection-limitation mechanism). */
-    unsigned busyNetworkOutputVcs() const;
-
-    /** @name Link wiring, set once by the Network. */
-    /// @{
-    LinkEnd &downstream(PortId out_port) { return down_[out_port]; }
-    const LinkEnd &
-    downstream(PortId out_port) const
-    {
-        return down_[out_port];
-    }
-
-    LinkEnd &upstream(PortId in_port) { return up_[in_port]; }
-    const LinkEnd &
-    upstream(PortId in_port) const
-    {
-        return up_[in_port];
-    }
-    /// @}
-
-    /** @name Per-output-port dynamic state. */
-    /// @{
-    Cycle lastTx(PortId out_port) const { return lastTx_[out_port]; }
-    void
-    noteTx(PortId out_port, Cycle now)
-    {
-        lastTx_[out_port] = now;
-    }
-    /// @}
-
-    /** @name Arbitration state (round-robin pointers). */
-    /// @{
-    /** Per-output-port pointer for switch allocation fairness. */
-    std::vector<unsigned> saRoundRobin;
-    /** Per-injection-port pointer for VC refill fairness. */
-    std::vector<unsigned> injRoundRobin;
-    /// @}
-
-    /**
-     * Checkpoint support: dynamic state only. Link wiring (down_/up_)
-     * is topology-derived and rebuilt by the Network constructor.
-     */
+    /** Checkpoint support: the VC records' dynamic state. */
     template <typename S>
     void
     saveState(S &s) const
@@ -187,12 +129,6 @@ class Router
             in_[i].saveState(s);
         for (unsigned i = 0; i < outs; ++i)
             out_[i].saveState(s);
-        for (const Cycle c : lastTx_)
-            s.u64(c);
-        for (const unsigned r : saRoundRobin)
-            s.u32(r);
-        for (const unsigned r : injRoundRobin)
-            s.u32(r);
     }
 
     template <typename D>
@@ -205,29 +141,14 @@ class Router
             in_[i].loadState(d);
         for (unsigned i = 0; i < outs; ++i)
             out_[i].loadState(d);
-        for (Cycle &c : lastTx_)
-            c = d.u64();
-        for (unsigned &r : saRoundRobin)
-            r = d.u32();
-        for (unsigned &r : injRoundRobin)
-            r = d.u32();
     }
 
   private:
-    /** Shared post-construction wiring (link ends, arbitration). */
-    void initCommon();
-
     NodeId node_;
     RouterParams params_;
-    /** Views into the backing VC arrays: a VcStore slice for
-     *  network-owned routers, ownIn_/ownOut_ for standalone ones. */
+    /** Views into the Network's VcStore arrays. */
     InputVc *in_ = nullptr;
     OutputVc *out_ = nullptr;
-    std::vector<InputVc> ownIn_;
-    std::vector<OutputVc> ownOut_;
-    std::vector<LinkEnd> down_;
-    std::vector<LinkEnd> up_;
-    std::vector<Cycle> lastTx_;
 };
 
 } // namespace wormnet

@@ -16,9 +16,10 @@
  * flit slots; see channel.hh) and fills one cache line, so a node's
  * complete VC state is a few adjacent lines, and whole-network sweeps
  * (switch allocation, routing, detection, checkpointing) walk dense
- * memory in flat-id order. Router objects stay the API everyone
- * programs against, but become thin views over a node-sized slice of
- * these arrays (see router.hh).
+ * memory in flat-id order. The per-cycle phases of sim/Network index
+ * these arrays directly by flat id (next to its per-port link and
+ * arbiter tables); a Router is only a view over a node-sized slice,
+ * for code that reasons about one router at a time (see router.hh).
  *
  * The arrays are sized once at construction and never reallocate, so
  * raw pointers and flat ids into them stay valid for the lifetime of

@@ -46,8 +46,11 @@ namespace wormnet
  *  v3: NDM stores inactivity run starts (since/runMask/lastCycleEnd)
  *  instead of materialized counters and I/DT flag bytes.
  *  v4: an input VC stores its worm buffer as (count, front index,
- *  newest ready cycle) instead of a list of flits. */
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+ *  newest ready cycle) instead of a list of flits.
+ *  v5: no per-port last-transmit cycles; the switch and injection
+ *  round-robin pointers are one byte each, written after all VC
+ *  records instead of per router. */
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /**
  * Atomically write @p payload to @p path under the container

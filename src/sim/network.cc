@@ -38,8 +38,13 @@ Network::Network(const Topology &topo, const NetworkParams &params,
 
     const NodeId n = topo.numNodes();
     nNodes_ = n; // memoised: numNodes() sits in per-cycle loop bounds
-    // All VC records and flit buffers live in the network-global
-    // struct-of-arrays store; each Router is a view over its slice.
+    inPorts_ = routerParams_.numInPorts();
+    outPorts_ = routerParams_.numOutPorts();
+    vcs_ = routerParams_.vcs;
+    netPorts_ = routerParams_.netPorts;
+
+    // All VC records live in the network-global struct-of-arrays
+    // store; each Router is a view over its slice.
     vcStore_.init(n, routerParams_);
     routers_.reserve(n);
     for (NodeId i = 0; i < n; ++i)
@@ -47,6 +52,8 @@ Network::Network(const Topology &topo, const NetworkParams &params,
                               vcStore_.outBase(i));
 
     // Wire the network links following the port convention.
+    downLinks_.assign(std::size_t(n) * outPorts_, LinkEnd{});
+    upLinks_.assign(std::size_t(n) * inPorts_, LinkEnd{});
     for (NodeId i = 0; i < n; ++i) {
         for (unsigned d = 0; d < topo.numDims(); ++d) {
             for (const bool positive : {true, false}) {
@@ -55,11 +62,15 @@ Network::Network(const Topology &topo, const NetworkParams &params,
                 if (peer == kInvalidNode)
                     continue; // mesh edge
                 const PortId peer_in = Topology::peerInPort(q);
-                routers_[i].downstream(q) = LinkEnd{peer, peer_in};
-                routers_[peer].upstream(peer_in) = LinkEnd{i, q};
+                downLinks_[std::size_t(i) * outPorts_ + q] =
+                    LinkEnd{peer, peer_in};
+                upLinks_[std::size_t(peer) * inPorts_ + peer_in] =
+                    LinkEnd{i, q};
             }
         }
     }
+    saRr_.assign(std::size_t(n) * outPorts_, 0);
+    injRr_.assign(std::size_t(n) * routerParams_.injPorts, 0);
 
     sourceQueues_.resize(n);
     generators_.reserve(n);
@@ -73,11 +84,6 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     injectionLimitCount_ = static_cast<std::size_t>(
         params.injectionLimitFraction *
         (routerParams_.netPorts * routerParams_.vcs));
-
-    inPorts_ = routerParams_.numInPorts();
-    outPorts_ = routerParams_.numOutPorts();
-    vcs_ = routerParams_.vcs;
-    netPorts_ = routerParams_.netPorts;
 
     detActive_.init(n);
     detectorIdleStable_ = detector_.idleCycleEndStable();
@@ -110,8 +116,7 @@ Network::Network(const Topology &topo, const NetworkParams &params,
     const std::uint32_t all_vcs = (std::uint32_t(1) << vcs_) - 1;
     for (NodeId i = 0; i < n; ++i) {
         for (PortId q = 0; q < outPorts_; ++q) {
-            if (routers_[i].isEjectionPort(q) ||
-                routers_[i].downstream(q).valid())
+            if (q >= netPorts_ || downstream(i, q).valid())
                 downFreeVcMask_[std::size_t(i) * outPorts_ + q] =
                     all_vcs;
         }
@@ -176,7 +181,7 @@ Network::injectMessage(NodeId src, NodeId dst, unsigned length)
 void
 Network::syncRoutable(NodeId node, PortId port, VcId vc)
 {
-    InputVc &ivc = routers_[node].inputVc(port, vc);
+    InputVc &ivc = inVc(node, port, vc);
     const bool want =
         ivc.msg != kInvalidMsg && !ivc.routed && !ivc.recovering;
     if (want == ivc.inRouteSet)
@@ -206,7 +211,7 @@ void
 Network::allocOutputVc(NodeId node, PortId port, VcId vc, MsgId msg,
                        PortId src_port, VcId src_vc)
 {
-    OutputVc &out = routers_[node].outputVc(port, vc);
+    OutputVc &out = outVc(node, port, vc);
     WORMNET_ASSERT(!out.allocated);
     out.allocated = true;
     out.msg = msg;
@@ -228,7 +233,7 @@ Network::allocOutputVc(NodeId node, PortId port, VcId vc, MsgId msg,
 void
 Network::releaseOutputVc(NodeId node, PortId port, VcId vc)
 {
-    OutputVc &out = routers_[node].outputVc(port, vc);
+    OutputVc &out = outVc(node, port, vc);
     WORMNET_ASSERT(out.allocated);
     out.release();
     switchCandVcMask_[std::size_t(node) * outPorts_ + port] &=
@@ -243,7 +248,7 @@ Network::releaseOutputVc(NodeId node, PortId port, VcId vc)
 void
 Network::releaseInputVc(NodeId node, PortId port, VcId vc)
 {
-    InputVc &ivc = routers_[node].inputVc(port, vc);
+    InputVc &ivc = inVc(node, port, vc);
     const bool mid_injection =
         port >= netPorts_ && ivc.msg != kInvalidMsg && !ivc.injDone;
     ivc.release();
@@ -254,7 +259,7 @@ Network::releaseInputVc(NodeId node, PortId port, VcId vc)
             --injIncomplete_[node];
     } else {
         // The lane upstream of this VC can host a new worm again.
-        const LinkEnd &up = routers_[node].upstream(port);
+        const LinkEnd &up = upstream(node, port);
         if (up.valid())
             downFreeVcMask_[std::size_t(up.node) * outPorts_ +
                             up.port] |= std::uint32_t(1) << vc;
@@ -266,19 +271,17 @@ void
 Network::replayCredits()
 {
     for (const auto &cr : creditReturns_) {
-        OutputVc &o = routers_[cr.node].outputVc(cr.port, cr.vc);
+        const std::size_t pq = std::size_t(cr.node) * outPorts_ + cr.port;
+        OutputVc &o = vcStore_.outAt(pq * vcs_ + cr.vc);
         ++o.credits;
         WORMNET_ASSERT(o.credits <= routerParams_.bufDepth);
         if (o.credits == 1 && o.allocated) {
             // An allocated output VC always has a live routed source
             // worm; it only becomes a switch candidate again if that
             // worm has a flit buffered and is not being recovered.
-            const InputVc &src =
-                routers_[cr.node].inputVc(o.srcPort, o.srcVc);
+            const InputVc &src = inVc(cr.node, o.srcPort, o.srcVc);
             if (!src.recovering && !src.buf.empty())
-                switchCandVcMask_[std::size_t(cr.node) * outPorts_ +
-                                  cr.port] |= std::uint32_t(1)
-                                              << cr.vc;
+                switchCandVcMask_[pq] |= std::uint32_t(1) << cr.vc;
         }
     }
     creditReturns_.clear();
@@ -339,13 +342,12 @@ void
 Network::resetBlockedHeads()
 {
     routeActive_.forEach([this](NodeId node) {
-        Router &rt = routers_[node];
         for (PortId p = 0; p < inPorts_; ++p) {
             std::uint32_t vcm =
                 routableVcMask_[std::size_t(node) * inPorts_ + p];
             while (vcm) {
-                InputVc &vc = rt.inputVc(
-                    p, static_cast<VcId>(__builtin_ctz(vcm)));
+                InputVc &vc = inVc(
+                    node, p, static_cast<VcId>(__builtin_ctz(vcm)));
                 vcm &= vcm - 1;
                 // The next routing failure becomes a fresh first
                 // attempt under the new relation, re-seeding the
@@ -509,10 +511,9 @@ Network::scanForStrandedWorms()
     // is idempotent over the current dead-resource state.
     for (NodeId node = 0; node < numNodes(); ++node) {
         const bool dead_router = nodeOffline(node);
-        Router &rt = routers_[node];
         for (PortId p = 0; p < inPorts_; ++p) {
             for (VcId v = 0; v < vcs_; ++v) {
-                InputVc &vc = rt.inputVc(p, v);
+                InputVc &vc = inVc(node, p, v);
                 if (vc.free())
                     continue;
                 if (dead_router) {
@@ -533,7 +534,7 @@ Network::scanForStrandedWorms()
                     // out and let the next routing phase pick a live
                     // channel.
                     const OutputVc &out =
-                        rt.outputVc(vc.outPort, vc.outVc);
+                        outVc(node, vc.outPort, vc.outVc);
                     WORMNET_ASSERT(out.allocated && out.msg == vc.msg);
                     WORMNET_ASSERT(out.credits == routerParams_.bufDepth);
                     releaseOutputVc(node, vc.outPort, vc.outVc);
@@ -637,8 +638,9 @@ Network::tryStartInjection(NodeId node)
     if (injVcBusy_[node] == injSlots_ && injIncomplete_[node] == 0)
         return;
 
-    Router &rt = routers_[node];
     const unsigned vcs = routerParams_.vcs;
+    std::uint8_t *inj_rr =
+        &injRr_[std::size_t(node) * routerParams_.injPorts];
     // Injection never allocates an output VC, so the limit's verdict
     // holds for the whole call.
     const bool limit_ok =
@@ -657,18 +659,18 @@ Network::tryStartInjection(NodeId node)
              injIncomplete_[node] != 0 && k < vcs &&
              pushed_vc == kInvalidVc;
              ++k) {
-            unsigned vi = rt.injRoundRobin[pi] + k;
+            unsigned vi = inj_rr[pi] + k;
             if (vi >= vcs)
                 vi -= vcs;
             const VcId v = static_cast<VcId>(vi);
-            InputVc &vc = rt.inputVc(port, v);
+            InputVc &vc = inVc(node, port, v);
             if (vc.free() || vc.injDone ||
                 vc.buf.count >= routerParams_.bufDepth)
                 continue;
             Message &m = messages_.get(vc.msg);
             if (m.flitsInjected == 0)
                 continue;
-            enqueueFlit(rt, port, v, m.id,
+            enqueueFlit(node, port, v, m.id,
                         flitTypeAt(m.flitsInjected, m.length));
             ++m.flitsInjected;
             if (m.flitsInjected >= m.length) {
@@ -676,7 +678,7 @@ Network::tryStartInjection(NodeId node)
                 --injIncomplete_[node];
             }
             m.lastInjectCycle = now_;
-            rt.injRoundRobin[pi] = (v + 1) % vcs;
+            inj_rr[pi] = static_cast<std::uint8_t>((v + 1) % vcs);
             pushed_vc = v;
         }
 
@@ -689,7 +691,7 @@ Network::tryStartInjection(NodeId node)
             for (VcId v = 0; v < vcs; ++v) {
                 if (v == pushed_vc)
                     continue;
-                const InputVc &vc = rt.inputVc(port, v);
+                const InputVc &vc = inVc(node, port, v);
                 if (vc.free() || vc.recovering || vc.injDone)
                     continue;
                 const Message &m = messages_.get(vc.msg);
@@ -716,7 +718,7 @@ Network::tryStartInjection(NodeId node)
             continue;
         VcId free_vc = kInvalidVc;
         for (VcId v = 0; v < vcs; ++v) {
-            if (rt.inputVc(port, v).free()) {
+            if (inVc(node, port, v).free()) {
                 free_vc = v;
                 break;
             }
@@ -731,8 +733,8 @@ Network::tryStartInjection(NodeId node)
         m.injectStartCycle = now_;
         m.lastInjectCycle = now_;
         m.flitsInjected = 1;
-        enqueueFlit(rt, port, free_vc, id, flitTypeAt(0, m.length));
-        rt.inputVc(port, free_vc).injDone = m.length <= 1;
+        enqueueFlit(node, port, free_vc, id, flitTypeAt(0, m.length));
+        inVc(node, port, free_vc).injDone = m.length <= 1;
         if (m.length > 1)
             ++injIncomplete_[node];
         ++inFlight_;
@@ -750,7 +752,6 @@ Network::routeAll()
     // shrink the set (grants and recovery verdicts), and a shrunken
     // entry's routeOne is a no-op, exactly as in the exhaustive scan.
     routeActive_.forEach([this](NodeId node) {
-        Router &rt = routers_[node];
         const PortMask fault_mask = deadOutMask(node);
         const unsigned offset = (now_ + node) % inPorts_;
         for (unsigned i = 0; i < inPorts_; ++i) {
@@ -766,7 +767,7 @@ Network::routeAll()
                 const VcId v =
                     static_cast<VcId>(__builtin_ctz(vcm));
                 vcm &= vcm - 1;
-                routeOne(rt, static_cast<PortId>(port), v,
+                routeOne(node, static_cast<PortId>(port), v,
                          fault_mask);
             }
         }
@@ -774,29 +775,25 @@ Network::routeAll()
 }
 
 bool
-Network::downstreamVcFree(const Router &rt, PortId out_port,
-                          VcId vc) const
+Network::downstreamVcFree(NodeId node, PortId out_port, VcId vc) const
 {
-    if (rt.isEjectionPort(out_port))
+    if (out_port >= netPorts_)
         return true;
-    const LinkEnd &down = rt.downstream(out_port);
+    const LinkEnd &down = downstream(node, out_port);
     if (!down.valid())
         return false; // dangling mesh-edge port
-    const InputVc &dvc = routers_[down.node].inputVc(down.port, vc);
-    return dvc.free();
+    return inVc(down.node, down.port, vc).free();
 }
 
 void
-Network::routeOne(Router &rt, PortId port, VcId v,
+Network::routeOne(NodeId node, PortId port, VcId v,
                   PortMask fault_mask)
 {
-    InputVc &vc = rt.inputVc(port, v);
+    InputVc &vc = inVc(node, port, v);
     // Only a head (worm index 0) is routed, once it is ready.
     if (vc.free() || vc.routed || vc.recovering || vc.buf.empty() ||
         vc.buf.front != 0 || !vc.buf.frontReady(now_))
         return;
-
-    const NodeId node = rt.nodeId();
 
     routing_->route(node, vc.dst, port, v, candScratch_);
 
@@ -838,7 +835,7 @@ Network::routeOne(Router &rt, PortId port, VcId v,
             params_.selection == VcSelection::Random
                 ? freeScratch_[rng_.nextBounded(freeScratch_.size())]
                 : freeScratch_.front();
-        WORMNET_ASSERT(rt.outputVc(pick.port, pick.vc).credits ==
+        WORMNET_ASSERT(outVc(node, pick.port, pick.vc).credits ==
                   routerParams_.bufDepth);
         allocOutputVc(node, pick.port, pick.vc, vc.msg, port, v);
         vc.routed = true;
@@ -874,9 +871,12 @@ Network::routeOne(Router &rt, PortId port, VcId v,
             node, port, v, vc.msg, blockedCandScratch_.data(),
             blockedCandScratch_.size(), now_);
     }
+    // The head's own input physical channel has no free VC left.
+    bool pc_busy = true;
+    for (VcId w = 0; w < vcs_ && pc_busy; ++w)
+        pc_busy = !inVc(node, port, w).free();
     const bool verdict = detector_.onRoutingFailed(
-        node, port, v, vc.msg, feasible, rt.inputPcFullyBusy(port),
-        first, now_);
+        node, port, v, vc.msg, feasible, pc_busy, first, now_);
     if (verdict)
         handleDetection(vc.msg);
 }
@@ -921,8 +921,8 @@ Network::switchAll()
     for (NodeId node = 0; node < nNodes_; ++node) {
         if (allocOutMask_[node] == 0)
             continue;
-        Router &rt = routers_[node];
         const PortMask fault_mask = deadOutMask(node);
+        const std::size_t node_ports = std::size_t(node) * outPorts_;
         // Ports without an allocated VC have no switch candidates;
         // iterating the mask's set bits ascending preserves the full
         // scan's port order.
@@ -931,6 +931,7 @@ Network::switchAll()
             const PortId q = static_cast<PortId>(
                 __builtin_ctz(ports));
             ports &= ports - 1;
+            const std::size_t pq = node_ports + q;
             // The candidate mask holds exactly the allocated VCs
             // with credit headroom whose source worm has a buffered
             // flit and is not recovering; only the cycle-local
@@ -938,11 +939,10 @@ Network::switchAll()
             // are re-checked per candidate. Splitting the mask at
             // the round-robin pointer preserves the (rr + k) % vcs
             // probe order of the exhaustive scan.
-            const std::uint32_t cand =
-                switchCandVcMask_[std::size_t(node) * outPorts_ + q];
+            const std::uint32_t cand = switchCandVcMask_[pq];
             if (cand == 0)
                 continue;
-            const unsigned rr = rt.saRoundRobin[q];
+            const unsigned rr = saRr_[pq];
             int winner = -1;
             OutputVc *wout = nullptr;
             InputVc *wvc = nullptr;
@@ -953,10 +953,8 @@ Network::switchAll()
                     const unsigned v2 = static_cast<unsigned>(
                         __builtin_ctz(part));
                     part &= part - 1;
-                    OutputVc &out =
-                        rt.outputVc(q, static_cast<VcId>(v2));
-                    InputVc &vc =
-                        rt.inputVc(out.srcPort, out.srcVc);
+                    OutputVc &out = vcStore_.outAt(pq * vcs_ + v2);
+                    InputVc &vc = inVc(node, out.srcPort, out.srcVc);
                     WORMNET_ASSERT(vc.routed && vc.outPort == q);
                     WORMNET_ASSERT(!vc.recovering && !vc.buf.empty() &&
                                    vc.msg == out.msg);
@@ -973,9 +971,9 @@ Network::switchAll()
             }
             if (winner < 0)
                 continue;
-            transferFlit(rt, q, static_cast<VcId>(winner), *wout,
+            transferFlit(node, q, static_cast<VcId>(winner), *wout,
                          *wvc);
-            rt.saRoundRobin[q] = (winner + 1) % vcs_;
+            saRr_[pq] = static_cast<std::uint8_t>((winner + 1) % vcs_);
             if (txMask_[node] == 0)
                 txNodes_.push_back(node);
             txMask_[node] |= PortMask(1) << q;
@@ -985,52 +983,48 @@ Network::switchAll()
 }
 
 void
-Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
+Network::transferFlit(NodeId node, PortId out_port, VcId out_vc,
                       OutputVc &out, InputVc &vc)
 {
     const PortId in_port = out.srcPort;
     const VcId in_vc = out.srcVc;
-    WORMNET_ASSERT(&vc == &rt.inputVc(in_port, in_vc) &&
-                   &out == &rt.outputVc(out_port, out_vc));
+    WORMNET_ASSERT(&vc == &inVc(node, in_port, in_vc) &&
+                   &out == &outVc(node, out_port, out_vc));
 
     // Inlined popFlit(): the caller already resolved the input VC.
     const MsgId msg = vc.msg;
     const FlitType type = vc.frontType();
     vc.buf.pop();
-    const LinkEnd &up = rt.upstream(in_port);
+    const LinkEnd &up = upstream(node, in_port);
     if (up.valid())
         creditReturns_.push_back(
             CreditReturn{up.node, up.port, in_vc});
     if (isTailFlit(type)) {
         Message &m = messages_.get(msg);
         WORMNET_ASSERT(m.numLinks() > 0);
-        WORMNET_ASSERT(m.link(0).node == rt.nodeId() &&
+        WORMNET_ASSERT(m.link(0).node == node &&
                        m.link(0).port == in_port &&
                        m.link(0).vc == in_vc);
         m.popFrontLink();
-        releaseInputVc(rt.nodeId(), in_port, in_vc);
+        releaseInputVc(node, in_port, in_vc);
     }
     ++flitHops_;
-    rt.noteTx(out_port, now_);
-    ++txCount_[std::size_t(rt.nodeId()) *
-                   routerParams_.numOutPorts() +
-               out_port];
+    const std::size_t pq = std::size_t(node) * outPorts_ + out_port;
+    ++txCount_[pq];
 
-    if (rt.isEjectionPort(out_port)) {
+    if (out_port >= netPorts_) {
         Message &m = messages_.get(msg);
         ++m.flitsEjected;
         ++stats_.flitsDelivered;
         if (measuring_)
             ++stats_.wFlitsDelivered;
         if (isTailFlit(type)) {
-            releaseOutputVc(rt.nodeId(), out_port, out_vc);
+            releaseOutputVc(node, out_port, out_vc);
             markDelivered(msg, false);
         } else if (vc.buf.empty()) {
             // Worm stretched thin: nothing buffered to eject until
             // the next flit arrives from upstream.
-            switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
-                              out_port] &=
-                ~(std::uint32_t(1) << out_vc);
+            switchCandVcMask_[pq] &= ~(std::uint32_t(1) << out_vc);
         }
         return;
     }
@@ -1038,42 +1032,41 @@ Network::transferFlit(Router &rt, PortId out_port, VcId out_vc,
     WORMNET_ASSERT(out.credits > 0);
     if (--out.credits == 0 ||
         (!isTailFlit(type) && vc.buf.empty()))
-        switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
-                          out_port] &= ~(std::uint32_t(1) << out_vc);
-    const LinkEnd &down = rt.downstream(out_port);
+        switchCandVcMask_[pq] &= ~(std::uint32_t(1) << out_vc);
+    const LinkEnd &down = downLinks_[pq];
     WORMNET_ASSERT(down.valid());
-    enqueueFlit(routers_[down.node], down.port, out_vc, msg, type);
+    enqueueFlit(down.node, down.port, out_vc, msg, type);
     if (isTailFlit(type))
-        releaseOutputVc(rt.nodeId(), out_port, out_vc);
+        releaseOutputVc(node, out_port, out_vc);
 }
 
 FlitType
-Network::popFlit(Router &rt, PortId port, VcId v)
+Network::popFlit(NodeId node, PortId port, VcId v)
 {
-    InputVc &vc = rt.inputVc(port, v);
+    InputVc &vc = inVc(node, port, v);
     const FlitType type = vc.frontType();
     vc.buf.pop();
 
-    const LinkEnd &up = rt.upstream(port);
+    const LinkEnd &up = upstream(node, port);
     if (up.valid())
         creditReturns_.push_back(CreditReturn{up.node, up.port, v});
 
     if (isTailFlit(type)) {
         Message &m = messages_.get(vc.msg);
         WORMNET_ASSERT(m.numLinks() > 0);
-        WORMNET_ASSERT(m.link(0).node == rt.nodeId() &&
+        WORMNET_ASSERT(m.link(0).node == node &&
                        m.link(0).port == port && m.link(0).vc == v);
         m.popFrontLink();
-        releaseInputVc(rt.nodeId(), port, v);
+        releaseInputVc(node, port, v);
     }
     return type;
 }
 
 void
-Network::enqueueFlit(Router &rt, PortId port, VcId v, MsgId msg,
+Network::enqueueFlit(NodeId node, PortId port, VcId v, MsgId msg,
                      FlitType type)
 {
-    InputVc &vc = rt.inputVc(port, v);
+    InputVc &vc = inVc(node, port, v);
     if (isHeadFlit(type)) {
         WORMNET_ASSERT(vc.free() && vc.buf.empty());
         Message &m = messages_.get(msg);
@@ -1081,13 +1074,13 @@ Network::enqueueFlit(Router &rt, PortId port, VcId v, MsgId msg,
         // Cached for the routing and switch phases.
         vc.dst = m.dst;
         vc.length = m.length;
-        m.pushLink(rt.nodeId(), port, v);
-        syncRoutable(rt.nodeId(), port, v);
-        detector_.onChannelOccupied(rt.nodeId(), port, v, msg);
+        m.pushLink(node, port, v);
+        syncRoutable(node, port, v);
+        detector_.onChannelOccupied(node, port, v, msg);
         if (port >= netPorts_) {
-            ++injVcBusy_[rt.nodeId()];
+            ++injVcBusy_[node];
         } else {
-            const LinkEnd &up = rt.upstream(port);
+            const LinkEnd &up = upstream(node, port);
             if (up.valid())
                 downFreeVcMask_[std::size_t(up.node) * outPorts_ +
                                 up.port] &=
@@ -1104,11 +1097,11 @@ Network::enqueueFlit(Router &rt, PortId port, VcId v, MsgId msg,
     // granted output VC as a switch candidate (heads are never
     // routed yet, and recovering worms re-qualify on release).
     if (was_empty && vc.routed && !vc.recovering) {
-        const OutputVc &out = rt.outputVc(vc.outPort, vc.outVc);
-        if (rt.isEjectionPort(vc.outPort) || out.credits > 0)
-            switchCandVcMask_[std::size_t(rt.nodeId()) * outPorts_ +
-                              vc.outPort] |=
-                std::uint32_t(1) << vc.outVc;
+        const std::size_t pq =
+            std::size_t(node) * outPorts_ + vc.outPort;
+        if (vc.outPort >= netPorts_ ||
+            vcStore_.outAt(pq * vcs_ + vc.outVc).credits > 0)
+            switchCandVcMask_[pq] |= std::uint32_t(1) << vc.outVc;
     }
 }
 
@@ -1160,11 +1153,9 @@ Network::releaseWorm(Message &m)
     // *upstream* allocations.
     if (m.numLinks() > 0) {
         const PathLink head = m.headLink();
-        const InputVc &hvc =
-            routers_[head.node].inputVc(head.port, head.vc);
+        const InputVc &hvc = inVc(head.node, head.port, head.vc);
         if (hvc.routed) {
-            const OutputVc &o =
-                routers_[head.node].outputVc(hvc.outPort, hvc.outVc);
+            const OutputVc &o = outVc(head.node, hvc.outPort, hvc.outVc);
             if (o.allocated && o.msg == m.id)
                 releaseOutputVc(head.node, hvc.outPort, hvc.outVc);
         }
@@ -1172,14 +1163,11 @@ Network::releaseWorm(Message &m)
 
     for (std::size_t i = 0; i < m.numLinks(); ++i) {
         const PathLink &link = m.link(i);
-        Router &rt = routers_[link.node];
-        InputVc &vc = rt.inputVc(link.port, link.vc);
-        WORMNET_ASSERT(vc.msg == m.id);
+        WORMNET_ASSERT(inVc(link.node, link.port, link.vc).msg == m.id);
 
-        const LinkEnd &up = rt.upstream(link.port);
+        const LinkEnd &up = upstream(link.node, link.port);
         if (up.valid()) {
-            OutputVc &o =
-                routers_[up.node].outputVc(up.port, link.vc);
+            OutputVc &o = outVc(up.node, up.port, link.vc);
             if (o.allocated && o.msg == m.id)
                 releaseOutputVc(up.node, up.port, link.vc);
             // The buffer is about to be emptied: the full credit
@@ -1203,7 +1191,7 @@ Network::setHeadRecovering(MsgId msg)
     const Message &m = messages_.get(msg);
     WORMNET_ASSERT(m.numLinks() > 0);
     const PathLink head = m.headLink();
-    InputVc &vc = routers_[head.node].inputVc(head.port, head.vc);
+    InputVc &vc = inVc(head.node, head.port, head.vc);
     WORMNET_ASSERT(vc.msg == msg);
     vc.recovering = true;
     syncRoutable(head.node, head.port, head.vc);
@@ -1247,12 +1235,11 @@ Network::drainHeaderFlit(MsgId msg, FlitType &type)
     WORMNET_ASSERT(m.status == MsgStatus::Recovering);
     WORMNET_ASSERT(m.numLinks() > 0);
     const PathLink head = m.headLink();
-    Router &rt = routers_[head.node];
-    InputVc &vc = rt.inputVc(head.port, head.vc);
+    const InputVc &vc = inVc(head.node, head.port, head.vc);
     WORMNET_ASSERT(vc.msg == msg && vc.recovering);
     if (vc.buf.empty() || !vc.buf.frontReady(now_))
         return false;
-    type = popFlit(rt, head.port, head.vc);
+    type = popFlit(head.node, head.port, head.vc);
     ++m.flitsEjected; // consumed into the recovery buffer
     return true;
 }
@@ -1323,7 +1310,7 @@ Network::utilizationSummary() const
     RunningStat out;
     for (NodeId node = 0; node < numNodes(); ++node) {
         for (PortId q = 0; q < routerParams_.netPorts; ++q) {
-            if (routers_[node].downstream(q).valid())
+            if (downstream(node, q).valid())
                 out.add(channelUtilization(node, q));
         }
     }
@@ -1384,10 +1371,9 @@ Network::rebuildDerivedState()
     injVcBusy_.assign(n, 0);
     injIncomplete_.assign(n, 0);
     for (NodeId node = 0; node < n; ++node) {
-        Router &rt = routers_[node];
         for (PortId p = 0; p < inPorts_; ++p) {
             for (VcId v = 0; v < vcs_; ++v) {
-                InputVc &vc = rt.inputVc(p, v);
+                InputVc &vc = inVc(node, p, v);
                 vc.inRouteSet = false;
                 syncRoutable(node, p, v);
                 if (vc.free())
@@ -1408,14 +1394,14 @@ Network::rebuildDerivedState()
             const std::size_t idx = std::size_t(node) * outPorts_ + q;
             for (VcId v = 0; v < vcs_; ++v) {
                 const std::uint32_t bit = std::uint32_t(1) << v;
-                if (downstreamVcFree(rt, q, v))
+                if (downstreamVcFree(node, q, v))
                     downFreeVcMask_[idx] |= bit;
-                const OutputVc &ovc = rt.outputVc(q, v);
+                const OutputVc &ovc = outVc(node, q, v);
                 if (!ovc.allocated)
                     continue;
                 outAllocVcMask_[idx] |= bit;
-                const InputVc &src = rt.inputVc(ovc.srcPort, ovc.srcVc);
-                if ((rt.isEjectionPort(q) || ovc.credits > 0) &&
+                const InputVc &src = inVc(node, ovc.srcPort, ovc.srcVc);
+                if ((q >= netPorts_ || ovc.credits > 0) &&
                     !src.recovering && !src.buf.empty())
                     switchCandVcMask_[idx] |= bit;
             }
@@ -1457,7 +1443,7 @@ Network::audit() const
         for (PortId p = 0; p < inPorts_; ++p) {
             std::uint32_t routable = 0;
             for (VcId v = 0; v < vcs_; ++v) {
-                const InputVc &vc = rt.inputVc(p, v);
+                const InputVc &vc = inVc(node, p, v);
                 const bool want =
                     !vc.free() && !vc.routed && !vc.recovering;
                 WORMNET_ASSERT(vc.inRouteSet == want, " at ", node,
@@ -1496,7 +1482,7 @@ Network::audit() const
                     }
                     if (vc.routed) {
                         const OutputVc &out =
-                            rt.outputVc(vc.outPort, vc.outVc);
+                            outVc(node, vc.outPort, vc.outVc);
                         WORMNET_ASSERT(out.allocated &&
                                            out.msg == vc.msg &&
                                            out.srcPort == p &&
@@ -1522,18 +1508,17 @@ Network::audit() const
             std::uint32_t alloc = 0;
             std::uint32_t dfree = 0;
             std::uint32_t scand = 0;
-            const bool eject = rt.isEjectionPort(q);
-            const LinkEnd &down = rt.downstream(q);
+            const bool eject = q >= netPorts_;
+            const LinkEnd &down = downstream(node, q);
             for (VcId v = 0; v < vcs_; ++v) {
-                const OutputVc &out = rt.outputVc(q, v);
+                const OutputVc &out = outVc(node, q, v);
                 // Credits mirror downstream occupancy; ejection
                 // ports never consume them.
                 if (eject) {
                     WORMNET_ASSERT(out.credits == depth, " at ", node,
                                    ":", q);
                 } else if (down.valid()) {
-                    const InputVc &dvc =
-                        routers_[down.node].inputVc(down.port, v);
+                    const InputVc &dvc = inVc(down.node, down.port, v);
                     WORMNET_ASSERT(out.credits ==
                                            depth - dvc.buf.count &&
                                        (!out.allocated || dvc.free() ||
@@ -1542,12 +1527,12 @@ Network::audit() const
                                    unsigned(v));
                 }
                 const std::uint32_t bit = std::uint32_t(1) << v;
-                if (downstreamVcFree(rt, q, v))
+                if (downstreamVcFree(node, q, v))
                     dfree |= bit;
                 if (!out.allocated)
                     continue;
                 alloc |= bit;
-                const InputVc &src = rt.inputVc(out.srcPort, out.srcVc);
+                const InputVc &src = inVc(node, out.srcPort, out.srcVc);
                 WORMNET_ASSERT(!((dead >> q) & 1u) && src.routed &&
                                    src.outPort == q && src.outVc == v &&
                                    src.msg == out.msg,
@@ -1594,9 +1579,8 @@ Network::audit() const
         // link's upstream router hosts the previous one.
         for (std::size_t i = 0; i < m.numLinks(); ++i) {
             const PathLink &l = m.link(i);
-            const LinkEnd &up = routers_[l.node].upstream(l.port);
-            WORMNET_ASSERT(routers_[l.node].inputVc(l.port, l.vc).msg ==
-                                   id &&
+            const LinkEnd &up = upstream(l.node, l.port);
+            WORMNET_ASSERT(inVc(l.node, l.port, l.vc).msg == id &&
                                (i == 0 || (up.valid() &&
                                            up.node == m.link(i - 1).node)),
                            " message ", id, " hop ", i);
@@ -1635,6 +1619,10 @@ Network::saveState(Serializer &s) const
     }
     for (const Router &rt : routers_)
         rt.saveState(s);
+    for (const std::uint8_t r : saRr_)
+        s.u8(r);
+    for (const std::uint8_t r : injRr_)
+        s.u8(r);
     for (const std::uint64_t c : txCount_)
         s.u64(c);
     stats_.saveState(s);
@@ -1692,6 +1680,10 @@ Network::loadState(Deserializer &d)
     }
     for (Router &rt : routers_)
         rt.loadState(d);
+    for (std::uint8_t &r : saRr_)
+        r = d.u8();
+    for (std::uint8_t &r : injRr_)
+        r = d.u8();
     for (std::uint64_t &c : txCount_)
         c = d.u64();
     stats_.loadState(d);

@@ -144,6 +144,34 @@ class Network
     Router &router(NodeId node) { return routers_[node]; }
     const Router &router(NodeId node) const { return routers_[node]; }
 
+    /** Far end of output @p out_port of @p node: the neighbour's input
+     *  port. Invalid for ejection ports and dangling mesh edges. */
+    const LinkEnd &
+    downstream(NodeId node, PortId out_port) const
+    {
+        return downLinks_[std::size_t(node) * outPorts_ + out_port];
+    }
+
+    /** Far end of input @p in_port of @p node: the neighbour's output
+     *  port. Invalid for injection ports and dangling mesh edges. */
+    const LinkEnd &
+    upstream(NodeId node, PortId in_port) const
+    {
+        return upLinks_[std::size_t(node) * inPorts_ + in_port];
+    }
+
+    /** Round-robin pointers of the switch arbiters, one per (node,
+     *  out_port), and of the injection refill, one per (node,
+     *  injection port); each holds the VC probed first next time. */
+    const std::vector<std::uint8_t> &switchPointers() const
+    {
+        return saRr_;
+    }
+    const std::vector<std::uint8_t> &injectionPointers() const
+    {
+        return injRr_;
+    }
+
     MessageStore &messages() { return messages_; }
     const MessageStore &messages() const { return messages_; }
 
@@ -295,8 +323,7 @@ class Network
     /** Downstream input VC of output (port, vc) can accept a new
      *  worm. Ejection ports are always ready. (Also used by the
      *  ground-truth oracle.) */
-    bool downstreamVcFree(const Router &rt, PortId out_port,
-                          VcId vc) const;
+    bool downstreamVcFree(NodeId node, PortId out_port, VcId vc) const;
 
     /**
      * Recompute every derived structure (VC masks, node sets,
@@ -338,6 +365,7 @@ class Network
      *
      * saveState() captures every bit of dynamic state at a step()
      * boundary: the clock, Rng streams, all router VC/buffer state,
+     * the switch and injection round-robin pointers,
      * the message store, source queues, pending re-injections,
      * statistics, detActive_, and the attached detector, recovery
      * manager and fault model. Static configuration (topology,
@@ -357,13 +385,13 @@ class Network
     void generateAndInject();
     void tryStartInjection(NodeId node);
     void routeAll();
-    void routeOne(Router &rt, PortId port, VcId vc,
+    void routeOne(NodeId node, PortId port, VcId vc,
                   PortMask fault_mask);
     void switchAll();
     /** Move the winning flit of (out_port, out_vc) across the
      *  switch. @p out / @p vc are the already-resolved output VC and
      *  its routed source input VC (the pop is inlined here). */
-    void transferFlit(Router &rt, PortId out_port, VcId out_vc,
+    void transferFlit(NodeId node, PortId out_port, VcId out_vc,
                       OutputVc &out, InputVc &vc);
     void detectorCycleEnd();
     /** The per-node cycle-end sweep itself (exhaustive or
@@ -400,15 +428,43 @@ class Network
     void releaseWorm(Message &m);
 
     /** Enqueue the next flit (of type @p type) of worm @p msg into
-     *  (router, port, vc), maintaining the message/link bookkeeping
+     *  (node, port, vc), maintaining the message/link bookkeeping
      *  on head flits. */
-    void enqueueFlit(Router &rt, PortId port, VcId vc, MsgId msg,
+    void enqueueFlit(NodeId node, PortId port, VcId vc, MsgId msg,
                      FlitType type);
 
-    /** Pop the front flit of (router, port, vc) with tail/credit
-     *  bookkeeping shared by switch traversal and recovery drain;
-     *  returns its type. */
-    FlitType popFlit(Router &rt, PortId port, VcId vc);
+    /** Pop the front flit of (node, port, vc) with tail/credit
+     *  bookkeeping for the recovery drain; returns its type. */
+    FlitType popFlit(NodeId node, PortId port, VcId vc);
+
+    /** @name Flat VC access: every phase of step() reaches VC
+     *  records through these, never through a Router view. */
+    /// @{
+    InputVc &
+    inVc(NodeId node, PortId port, VcId vc)
+    {
+        return vcStore_.inAt(
+            (std::size_t(node) * inPorts_ + port) * vcs_ + vc);
+    }
+    const InputVc &
+    inVc(NodeId node, PortId port, VcId vc) const
+    {
+        return vcStore_.inAt(
+            (std::size_t(node) * inPorts_ + port) * vcs_ + vc);
+    }
+    OutputVc &
+    outVc(NodeId node, PortId port, VcId vc)
+    {
+        return vcStore_.outAt(
+            (std::size_t(node) * outPorts_ + port) * vcs_ + vc);
+    }
+    const OutputVc &
+    outVc(NodeId node, PortId port, VcId vc) const
+    {
+        return vcStore_.outAt(
+            (std::size_t(node) * outPorts_ + port) * vcs_ + vc);
+    }
+    /// @}
 
     /** Apply queued credit returns (creditReturns_) to their output
      *  VCs, re-arming switch candidates that come off zero credits
@@ -501,6 +557,23 @@ class Network
      *  declared before routers_, which are thin views into it. */
     VcStore vcStore_;
     std::vector<Router> routers_;
+
+    /** @name Per-port link and arbiter tables.
+     *
+     * The link wiring, indexed by node * outPorts_ + q (downstream)
+     * and node * inPorts_ + p (upstream), is static: the constructor
+     * builds it from the topology and checkpoints do not carry it.
+     * The round-robin pointers are dynamic arbitration state and are
+     * checkpointed.
+     */
+    /// @{
+    std::vector<LinkEnd> downLinks_;
+    std::vector<LinkEnd> upLinks_;
+    /** Per (node, out_port): first VC the switch arbiter probes. */
+    std::vector<std::uint8_t> saRr_;
+    /** Per (node, injection port): first VC the refill probes. */
+    std::vector<std::uint8_t> injRr_;
+    /// @}
     MessageStore messages_;
     std::vector<std::deque<MsgId>> sourceQueues_;
     std::vector<NodeGenerator> generators_;

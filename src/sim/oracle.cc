@@ -64,7 +64,7 @@ findDeadlockedMessages(const Network &net)
                             entry.holders.push_back(out.msg);
                             continue;
                         }
-                        if (net.downstreamVcFree(rt, cand.port, v2)) {
+                        if (net.downstreamVcFree(node, cand.port, v2)) {
                             entry.anyFree = true;
                             continue;
                         }
@@ -76,7 +76,7 @@ findDeadlockedMessages(const Network &net)
                         // Deallocated but still draining: blocked on
                         // the worm whose tail is passing through.
                         const LinkEnd &down =
-                            rt.downstream(cand.port);
+                            net.downstream(node, cand.port);
                         const InputVc &dvc =
                             net.router(down.node).inputVc(down.port,
                                                           v2);

@@ -17,6 +17,7 @@
  * several kill points and job counts.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -311,6 +312,44 @@ TEST(CheckpointRoundTrip, LoneFlitArrivedInTheSaveCycle)
         << "resumed run diverged after restoring a lone fresh flit";
 }
 
+TEST(CheckpointRoundTrip, ArbiterPointersMidRun)
+{
+    // The switch and injection round-robin pointers are dynamic
+    // arbitration state: saved mid-run under load, some of each are
+    // off their initial VC 0, and the restore must carry them. They
+    // are compared directly, not only through the snapshot bytes: a
+    // resume that dropped them diverges for a few cycles and can then
+    // re-converge to the same state.
+    const SimulationConfig cfg = smallConfig();
+    Simulation a(cfg);
+    a.net().run(600);
+    const auto nonzero = [](const std::vector<std::uint8_t> &v) {
+        return std::count_if(v.begin(), v.end(),
+                             [](std::uint8_t r) { return r != 0; });
+    };
+    EXPECT_GT(nonzero(a.net().switchPointers()), 0);
+    EXPECT_GT(nonzero(a.net().injectionPointers()), 0);
+
+    const std::string path = tempPath("ckpt_arbiters.bin");
+    a.saveCheckpoint(path);
+    Simulation b(cfg);
+    b.loadCheckpoint(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(a.net().switchPointers(), b.net().switchPointers());
+    EXPECT_EQ(a.net().injectionPointers(), b.net().injectionPointers());
+    EXPECT_EQ(snapshot(a), snapshot(b));
+
+    for (int i = 0; i < 600; ++i) {
+        a.net().step();
+        b.net().step();
+        ASSERT_EQ(snapshot(a), snapshot(b))
+            << "resumed run diverged " << i + 1
+            << " cycles after the save point";
+    }
+    EXPECT_EQ(a.net().switchPointers(), b.net().switchPointers());
+    EXPECT_EQ(a.net().injectionPointers(), b.net().injectionPointers());
+}
+
 TEST(CheckpointFile, ConfigMismatchIsFatal)
 {
     SimulationConfig cfg = smallConfig();
@@ -385,29 +424,31 @@ TEST(CheckpointFile, BadMagicAndVersionAreFatal)
     std::remove(path.c_str());
 }
 
-TEST(CheckpointFile, Version3IsRejected)
+TEST(CheckpointFile, Version4IsRejected)
 {
-    // Version 3 stored a list of flits per input VC; version 4 stores
-    // the worm buffer's three fields. An old file must not be misread.
-    ASSERT_EQ(kCheckpointVersion, 4u);
+    // Version 4 stored a last-transmit cycle per output port and
+    // 32-bit round-robin pointers per router; version 5 stores
+    // one-byte pointers after all VC records. An old file must not
+    // be misread.
+    ASSERT_EQ(kCheckpointVersion, 5u);
     SimulationConfig cfg = smallConfig();
     Simulation a(cfg);
     a.net().run(50);
-    const std::string path = tempPath("ckpt_v3.bin");
+    const std::string path = tempPath("ckpt_v4.bin");
     a.saveCheckpoint(path);
     {
         std::fstream f(path, std::ios::binary | std::ios::in |
                                  std::ios::out);
         f.seekp(8); // little-endian u32 version after the magic
-        f.put(static_cast<char>(3));
+        f.put(static_cast<char>(4));
     }
     Simulation b(cfg);
     try {
         b.loadCheckpoint(path);
-        ADD_FAILURE() << "a version-3 checkpoint was accepted";
+        ADD_FAILURE() << "a version-4 checkpoint was accepted";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find(
-                      "has format version 3; this build reads version 4"),
+                      "has format version 4; this build reads version 5"),
                   std::string::npos)
             << e.what();
     }

@@ -347,5 +347,102 @@ TEST(Network, BigTorusSpotCheck)
     EXPECT_NEAR(s.acceptedFlitRate, 0.1, 0.02);
 }
 
+/**
+ * The Network's flat link tables describe the topology exactly: each
+ * network output port's downstream end is the topology neighbour's
+ * peer input port, each wired input port's upstream end points back,
+ * and injection, ejection and dangling mesh-edge ports stay invalid.
+ */
+void
+expectLinkTablesMatchTopology(const SimulationConfig &cfg)
+{
+    Simulation sim(cfg);
+    const Network &net = sim.net();
+    const Topology &topo = sim.topology();
+    const RouterParams &rp = net.routerParams();
+    std::size_t down_links = 0;
+    std::size_t up_links = 0;
+    std::size_t dangling = 0;
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        for (PortId q = 0; q < rp.numOutPorts(); ++q) {
+            const LinkEnd &down = net.downstream(n, q);
+            if (q >= rp.netPorts) {
+                EXPECT_FALSE(down.valid()) << n << ":" << q;
+                continue;
+            }
+            const NodeId peer =
+                topo.neighbor(n, Topology::dimOfPort(q),
+                              Topology::isPositivePort(q));
+            if (peer == kInvalidNode) {
+                EXPECT_FALSE(down.valid()) << n << ":" << q;
+                ++dangling;
+                continue;
+            }
+            ++down_links;
+            EXPECT_EQ(down.node, peer) << n << ":" << q;
+            EXPECT_EQ(down.port, Topology::peerInPort(q))
+                << n << ":" << q;
+            const LinkEnd &back = net.upstream(down.node, down.port);
+            EXPECT_EQ(back.node, n) << n << ":" << q;
+            EXPECT_EQ(back.port, q) << n << ":" << q;
+        }
+        for (PortId p = 0; p < rp.numInPorts(); ++p) {
+            const LinkEnd &up = net.upstream(n, p);
+            if (p >= rp.netPorts) {
+                EXPECT_FALSE(up.valid()) << n << ":" << p;
+                continue;
+            }
+            if (!up.valid())
+                continue;
+            ++up_links;
+            const LinkEnd &fwd = net.downstream(up.node, up.port);
+            EXPECT_EQ(fwd.node, n) << n << ":" << p;
+            EXPECT_EQ(fwd.port, p) << n << ":" << p;
+        }
+    }
+    EXPECT_EQ(down_links, up_links);
+    EXPECT_EQ(down_links + dangling,
+              std::size_t(net.numNodes()) * rp.netPorts);
+    if (topo.wraparound())
+        EXPECT_EQ(dangling, 0u);
+    else
+        EXPECT_GT(dangling, 0u);
+}
+
+SimulationConfig
+quietConfig()
+{
+    SimulationConfig cfg;
+    cfg.flitRate = 0.0;
+    cfg.detector = "none";
+    cfg.recovery = "none";
+    cfg.oraclePeriod = 0;
+    return cfg;
+}
+
+TEST(LinkTables, TorusMatchesTopology)
+{
+    SimulationConfig cfg = quietConfig();
+    cfg.radix = 4;
+    cfg.dims = 3;
+    expectLinkTablesMatchTopology(cfg);
+}
+
+TEST(LinkTables, MeshEdgePortsStayInvalid)
+{
+    SimulationConfig cfg = quietConfig();
+    cfg.topology = "mesh";
+    cfg.radix = 4;
+    cfg.dims = 2;
+    expectLinkTablesMatchTopology(cfg);
+}
+
+TEST(LinkTables, MixedRadixTorusMatchesTopology)
+{
+    SimulationConfig cfg = quietConfig();
+    cfg.radices = "5x3x2";
+    expectLinkTablesMatchTopology(cfg);
+}
+
 } // namespace
 } // namespace wormnet

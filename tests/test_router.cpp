@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the router data model (worm buffers, VC records, router
- * helpers) and for single-message flit transport through a small
+ * views) and for single-message flit transport through a small
  * network: pipeline timing, wormhole spreading, buffer bounds and
  * flit conservation.
  */
@@ -168,15 +168,29 @@ TEST(MessageStore, CreateAssignsDenseIds)
     EXPECT_EQ(store.size(), 2u);
 }
 
+/** A traffic-free network for inspecting Network-owned routers. */
+SimulationConfig
+quietConfig()
+{
+    SimulationConfig cfg;
+    cfg.flitRate = 0.0;
+    cfg.detector = "none";
+    cfg.recovery = "none";
+    cfg.oraclePeriod = 0;
+    return cfg;
+}
+
 TEST(Router, ShapeAndPortClassification)
 {
-    RouterParams p;
-    p.netPorts = 4;
-    p.injPorts = 2;
-    p.ejePorts = 3;
-    p.vcs = 3;
-    p.bufDepth = 4;
-    Router rt(9, p);
+    SimulationConfig cfg = quietConfig();
+    cfg.radix = 4;
+    cfg.dims = 2; // 4 network ports
+    cfg.injPorts = 2;
+    cfg.ejePorts = 3;
+    cfg.vcs = 3;
+    cfg.bufDepth = 4;
+    Simulation sim(cfg);
+    const Router &rt = sim.net().router(9);
     EXPECT_EQ(rt.nodeId(), 9u);
     EXPECT_EQ(rt.numInPorts(), 6u);
     EXPECT_EQ(rt.numOutPorts(), 7u);
@@ -189,33 +203,83 @@ TEST(Router, ShapeAndPortClassification)
 
 TEST(Router, OccupancyHelpers)
 {
-    RouterParams p;
-    p.netPorts = 2;
-    p.injPorts = 1;
-    p.ejePorts = 1;
-    p.vcs = 2;
-    Router rt(0, p);
-    EXPECT_FALSE(rt.inputPcFullyBusy(0));
-    rt.inputVc(0, 0).msg = 1;
-    EXPECT_FALSE(rt.inputPcFullyBusy(0));
-    rt.inputVc(0, 1).msg = 2;
-    EXPECT_TRUE(rt.inputPcFullyBusy(0));
+    // Occupancy read through Network-owned router views while the
+    // network's own transport moves two worms along a 1-D mesh.
+    const auto pc_fully_busy = [](const Router &rt, PortId port) {
+        for (VcId v = 0; v < rt.numVcs(); ++v) {
+            if (rt.inputVc(port, v).free())
+                return false;
+        }
+        return true;
+    };
+    const auto pc_occupied = [](const Router &rt, PortId port) {
+        for (VcId v = 0; v < rt.numVcs(); ++v) {
+            if (rt.outputVc(port, v).allocated)
+                return true;
+        }
+        return false;
+    };
+    const auto busy_network_vcs = [](const Router &rt) {
+        unsigned busy = 0;
+        for (PortId q = 0; q < rt.params().netPorts; ++q) {
+            for (VcId v = 0; v < rt.numVcs(); ++v)
+                busy += rt.outputVc(q, v).allocated;
+        }
+        return busy;
+    };
 
-    EXPECT_FALSE(rt.outputPcOccupied(1));
-    rt.outputVc(1, 1).allocated = true;
-    EXPECT_TRUE(rt.outputPcOccupied(1));
-    EXPECT_EQ(rt.busyNetworkOutputVcs(), 1u);
-    rt.outputVc(2, 0).allocated = true; // ejection port: not counted
-    EXPECT_EQ(rt.busyNetworkOutputVcs(), 1u);
+    SimulationConfig cfg = quietConfig();
+    cfg.topology = "mesh";
+    cfg.radix = 4;
+    cfg.dims = 1;
+    cfg.vcs = 2;
+    cfg.injPorts = 2; // both worms start in the same cycle
+    cfg.ejePorts = 1;
+    Simulation sim(cfg);
+    Network &net = sim.net();
+    const Router &src = net.router(0);
+    const Router &mid = net.router(1);
+    const Router &dst = net.router(3);
+    const PortId east = Topology::outPort(0, true);
+    const PortId mid_in = Topology::peerInPort(east);
+    const PortId eject = 2;
+
+    EXPECT_FALSE(pc_fully_busy(mid, mid_in));
+    EXPECT_FALSE(pc_occupied(src, east));
+    EXPECT_EQ(busy_network_vcs(src), 0u);
+
+    net.injectMessage(0, 3, 16);
+    net.injectMessage(0, 3, 16);
+    for (int i = 0; i < 20 && !pc_fully_busy(mid, mid_in); ++i)
+        net.step();
+    EXPECT_TRUE(pc_fully_busy(mid, mid_in));
+    EXPECT_TRUE(pc_occupied(src, east));
+    EXPECT_EQ(busy_network_vcs(src), 2u);
+
+    // An allocated ejection VC is occupied but not a network VC.
+    for (int i = 0; i < 40 && !pc_occupied(dst, eject); ++i)
+        net.step();
+    EXPECT_TRUE(pc_occupied(dst, eject));
+    EXPECT_EQ(busy_network_vcs(dst), 0u);
+
+    net.run(200);
+    EXPECT_EQ(net.stats().delivered, 2u);
+    EXPECT_FALSE(pc_fully_busy(mid, mid_in));
+    EXPECT_FALSE(pc_occupied(src, east));
+    EXPECT_EQ(busy_network_vcs(src), 0u);
 }
 
 TEST(Router, CreditsStartFull)
 {
-    RouterParams p;
-    Router rt(0, p);
-    for (PortId q = 0; q < rt.numOutPorts(); ++q)
-        for (VcId v = 0; v < p.vcs; ++v)
-            EXPECT_EQ(rt.outputVc(q, v).credits, p.bufDepth);
+    Simulation sim(quietConfig());
+    const Network &net = sim.net();
+    const RouterParams &p = net.routerParams();
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        const Router &rt = net.router(n);
+        for (PortId q = 0; q < rt.numOutPorts(); ++q)
+            for (VcId v = 0; v < p.vcs; ++v)
+                EXPECT_EQ(rt.outputVc(q, v).credits, p.bufDepth);
+    }
 }
 
 /** Fixture: a quiet network we inject individual messages into. */
