@@ -293,6 +293,14 @@ class DeadlockDetector
     virtual void saveState(Serializer &s) const { (void)s; }
     virtual void loadState(Deserializer &d) { (void)d; }
 
+    /**
+     * Recompute whatever derived state the detector keeps from its
+     * authoritative state and panic (PanicError) on a divergence.
+     * Network::audit() calls it at step() boundaries. Default: no
+     * derived state.
+     */
+    virtual void audit() const {}
+
     /** Cumulative control-plane traffic since init(); see
      *  ControlTraffic. Local mechanisms keep the zero default. */
     virtual ControlTraffic controlTraffic() const { return {}; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/contracts.hh"
 #include "common/log.hh"
 
 namespace wormnet
@@ -29,6 +30,7 @@ NdmDetector::init(const DetectorContext &ctx)
     gp_.assign(ins, 0); // P everywhere
     waiting_.assign(ins * ctx.vcs, 0);
     faultyOut_.assign(ctx.numRouters, 0);
+    waiters_.assign(outs, 0);
 }
 
 bool
@@ -45,7 +47,7 @@ NdmDetector::onRoutingFailed(NodeId router, PortId in_port, VcId in_vc,
     feasible_ports &= ~faultyOut_[router];
     if (feasible_ports == 0)
         return false;
-    waiting_[vcIdx(router, in_port, in_vc)] = feasible_ports;
+    setWaiting(router, in_port, in_vc, feasible_ports);
 
     if (first_attempt) {
         if (!input_pc_fully_busy) {
@@ -96,14 +98,73 @@ NdmDetector::onMessageRouted(NodeId router, PortId in_port,
     // A worm on this input channel is advancing again: the last
     // arrival is no longer waiting on the root of a blocked tree.
     gp_[inIdx(router, in_port)] = 0; // P
-    waiting_[vcIdx(router, in_port, in_vc)] = 0;
+    setWaiting(router, in_port, in_vc, 0);
 }
 
 void
 NdmDetector::onInputVcFreed(NodeId router, PortId in_port, VcId in_vc)
 {
     gp_[inIdx(router, in_port)] = 0; // P
-    waiting_[vcIdx(router, in_port, in_vc)] = 0;
+    setWaiting(router, in_port, in_vc, 0);
+}
+
+void
+NdmDetector::setWaiting(NodeId router, PortId in_port, VcId in_vc,
+                        PortMask feasible)
+{
+    PortMask &mine = waiting_[vcIdx(router, in_port, in_vc)];
+    const PortMask changed = mine ^ feasible;
+    if (changed == 0)
+        return;
+    mine = feasible;
+    PortMask *waiters = &waiters_[outIdx(router, 0)];
+    const PortMask in_bit = PortMask(1) << in_port;
+    PortMask m = changed & feasible;
+    while (m) {
+        waiters[__builtin_ctz(m)] |= in_bit;
+        m &= m - 1;
+    }
+    m = changed & ~feasible;
+    if (m == 0)
+        return;
+    // A channel this VC stopped waiting on keeps the input channel
+    // while another of its VCs still waits there.
+    for (VcId v = 0; v < ctx_.vcs; ++v)
+        m &= ~waiting_[vcIdx(router, in_port, v)];
+    while (m) {
+        waiters[__builtin_ctz(m)] &= ~in_bit;
+        m &= m - 1;
+    }
+}
+
+std::vector<PortMask>
+NdmDetector::computeWaiters() const
+{
+    std::vector<PortMask> waiters(waiters_.size(), 0);
+    for (NodeId r = 0; r < ctx_.numRouters; ++r) {
+        for (PortId p = 0; p < ctx_.numInPorts; ++p) {
+            for (VcId v = 0; v < ctx_.vcs; ++v) {
+                PortMask m = waiting_[vcIdx(r, p, v)];
+                while (m) {
+                    waiters[outIdx(r, static_cast<PortId>(
+                                          __builtin_ctz(m)))] |=
+                        PortMask(1) << p;
+                    m &= m - 1;
+                }
+            }
+        }
+    }
+    return waiters;
+}
+
+void
+NdmDetector::audit() const
+{
+    const std::vector<PortMask> waiters = computeWaiters();
+    for (std::size_t i = 0; i < waiters.size(); ++i)
+        WORMNET_ASSERT(waiters_[i] == waiters[i], " (NDM waiters of ",
+                       "output channel ", i % ctx_.numOutPorts,
+                       " at router ", i / ctx_.numOutPorts, ")");
 }
 
 void
@@ -119,17 +180,11 @@ NdmDetector::rearm(NodeId router, PortId out_port)
     }
     // Selective: only input channels with a blocked head that was
     // waiting on this output channel.
-    for (PortId p = 0; p < ctx_.numInPorts; ++p) {
-        bool waits = false;
-        for (VcId v = 0; v < ctx_.vcs; ++v) {
-            if (waiting_[vcIdx(router, p, v)] &
-                (PortMask(1) << out_port)) {
-                waits = true;
-                break;
-            }
-        }
-        if (waits)
-            gp_[inIdx(router, p)] = 1; // G
+    PortMask m = waiters_[outIdx(router, out_port)];
+    while (m) {
+        gp_[inIdx(router, static_cast<PortId>(__builtin_ctz(m)))] =
+            1; // G
+        m &= m - 1;
     }
 }
 
@@ -214,6 +269,7 @@ NdmDetector::onRoutingChanged()
     // which the routing change does not invalidate.
     std::fill(gp_.begin(), gp_.end(), 0);
     std::fill(waiting_.begin(), waiting_.end(), 0);
+    std::fill(waiters_.begin(), waiters_.end(), 0);
 }
 
 void
@@ -248,6 +304,7 @@ NdmDetector::loadState(Deserializer &d)
         m = d.u32();
     for (PortMask &m : faultyOut_)
         m = d.u32();
+    waiters_ = computeWaiters();
 }
 
 std::string

@@ -106,7 +106,10 @@ class NdmDetector : public DeadlockDetector
      *  transmissions independent of the routing function. */
     void onRoutingChanged() override;
     void saveState(Serializer &s) const override;
+    /** Restores the checkpointed state and rebuilds waiters_. */
     void loadState(Deserializer &d) override;
+    /** Recomputes waiters_ from waiting_. */
+    void audit() const override;
     std::string name() const override;
 
     /** @name White-box accessors for unit tests. */
@@ -143,6 +146,15 @@ class NdmDetector : public DeadlockDetector
     /** Apply the re-arm policy after I on @p out_port was reset. */
     void rearm(NodeId router, PortId out_port);
 
+    /** Set the feasible-port mask a blocked head in (@p router,
+     *  @p in_port, @p in_vc) waits on (0 when it stops waiting),
+     *  keeping waiters_ in step. The only writer of both. */
+    void setWaiting(NodeId router, PortId in_port, VcId in_vc,
+                    PortMask feasible);
+
+    /** waiters_ as waiting_ implies it. */
+    std::vector<PortMask> computeWaiters() const;
+
     /** Inactivity flag of (router, out_port) as observed during cycle
      *  @p now (i.e. after the cycle-end of now - 1): the channel has
      *  an idle run longer than @p threshold cycles. */
@@ -170,13 +182,21 @@ class NdmDetector : public DeadlockDetector
     std::vector<std::uint8_t> gp_;
 
     /** Per input VC: feasible-port mask of the currently blocked head
-     *  (0 when not blocked); drives the selective re-arm policy. */
+     *  (0 when not blocked). */
     std::vector<PortMask> waiting_;
 
     /** Per router: faulted output channels — excluded from inactivity
      *  tracking and from the all-DT detection test, since a dead link
      *  will never transmit and would flag forever. */
     std::vector<PortMask> faultyOut_;
+
+  protected:
+    /** Per output channel: bit p set when some VC of input channel p
+     *  waits on it (the OR over that channel's waiting_ entries). The
+     *  selective re-arm walks these bits. Derived from waiting_: not
+     *  checkpointed, rebuilt on load, recomputed by audit(). Protected
+     *  so that a subclass can corrupt it to exercise the audit. */
+    std::vector<PortMask> waiters_;
 };
 
 } // namespace wormnet

@@ -118,31 +118,6 @@ class Router
     const OutputVc *outputVcs() const { return out_; }
     /// @}
 
-    /** Checkpoint support: the VC records' dynamic state. */
-    template <typename S>
-    void
-    saveState(S &s) const
-    {
-        const unsigned ins = numInPorts() * params_.vcs;
-        const unsigned outs = numOutPorts() * params_.vcs;
-        for (unsigned i = 0; i < ins; ++i)
-            in_[i].saveState(s);
-        for (unsigned i = 0; i < outs; ++i)
-            out_[i].saveState(s);
-    }
-
-    template <typename D>
-    void
-    loadState(D &d)
-    {
-        const unsigned ins = numInPorts() * params_.vcs;
-        const unsigned outs = numOutPorts() * params_.vcs;
-        for (unsigned i = 0; i < ins; ++i)
-            in_[i].loadState(d);
-        for (unsigned i = 0; i < outs; ++i)
-            out_[i].loadState(d);
-    }
-
   private:
     NodeId node_;
     RouterParams params_;

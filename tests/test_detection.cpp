@@ -272,6 +272,32 @@ TEST(Ndm, SelectiveRearmOnlyFlipsWaiters)
     EXPECT_FALSE(det.gpFlag(0, 2));
 }
 
+TEST(Ndm, SelectiveRearmKeepsPortWhileAnotherVcWaits)
+{
+    // The selective re-arm tracks waiting per input channel: when
+    // one of two VCs waiting on output 0 is routed, the channel still
+    // has a waiter, and a later I-flag reset on output 0 re-arms it.
+    NdmDetector det(NdmParams{1, 4, GpRearmPolicy::WaitersOnChannel});
+    det.init(smallCtx());
+    Cycle now = 0;
+    idleCycles(det, 3, 0x1, now); // I set on output 0
+    det.onRoutingFailed(0, 1, 0, 7, /*feasible=*/0x1, true, true, now);
+    det.onRoutingFailed(0, 1, 1, 8, /*feasible=*/0x1, true, true, now);
+    EXPECT_FALSE(det.gpFlag(0, 1));
+    det.onMessageRouted(0, 1, 0, 7, 0, 0);
+    EXPECT_FALSE(det.gpFlag(0, 1));
+    det.onCycleEnd(0, /*tx=*/0x1, 0x1, now++); // I reset on output 0
+    EXPECT_TRUE(det.gpFlag(0, 1)) << "VC 1 still waits on output 0";
+
+    // Once the second VC is routed too, no VC of input 1 waits on
+    // output 0 and the next reset leaves the channel at P.
+    det.onMessageRouted(0, 1, 1, 8, 0, 1);
+    EXPECT_FALSE(det.gpFlag(0, 1));
+    idleCycles(det, 3, 0x1, now);
+    det.onCycleEnd(0, /*tx=*/0x1, 0x1, now++);
+    EXPECT_FALSE(det.gpFlag(0, 1)) << "stale waiter re-armed";
+}
+
 TEST(Ndm, RearmOnlyWhenIFlagWasSet)
 {
     NdmDetector det(NdmParams{1, 8, GpRearmPolicy::AllInRouter});
