@@ -60,7 +60,7 @@ findDeadlockedMessages(const Network &net)
                         mask &= mask - 1;
                         const OutputVc &out =
                             rt.outputVc(cand.port, v2);
-                        if (out.allocated) {
+                        if (out.allocated()) {
                             entry.holders.push_back(out.msg);
                             continue;
                         }

@@ -62,7 +62,7 @@ TEST_P(ConservationSweep, DrainedNetworkIsCleanAndConserving)
                 ASSERT_TRUE(rt.inputVc(p, v).free());
         for (PortId q = 0; q < rp.numOutPorts(); ++q)
             for (VcId v = 0; v < rp.vcs; ++v)
-                ASSERT_FALSE(rt.outputVc(q, v).allocated);
+                ASSERT_FALSE(rt.outputVc(q, v).allocated());
     }
 }
 

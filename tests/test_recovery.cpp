@@ -105,7 +105,7 @@ TEST(Progressive, DrainFreesChannelsCompletely)
                 EXPECT_TRUE(rt.inputVc(p, v).free());
         for (PortId q = 0; q < rp.numOutPorts(); ++q) {
             for (VcId v = 0; v < rp.vcs; ++v) {
-                EXPECT_FALSE(rt.outputVc(q, v).allocated);
+                EXPECT_FALSE(rt.outputVc(q, v).allocated());
                 EXPECT_EQ(rt.outputVc(q, v).credits, rp.bufDepth);
             }
         }
@@ -186,7 +186,7 @@ TEST(Regressive, KillRestoresChannelState)
         for (PortId q = 0; q < rp.numOutPorts(); ++q) {
             for (VcId v = 0; v < rp.vcs; ++v) {
                 const OutputVc &out = rt.outputVc(q, v);
-                EXPECT_FALSE(out.allocated);
+                EXPECT_FALSE(out.allocated());
                 EXPECT_EQ(out.credits, rp.bufDepth);
             }
         }

@@ -214,7 +214,7 @@ TEST(Router, OccupancyHelpers)
     };
     const auto pc_occupied = [](const Router &rt, PortId port) {
         for (VcId v = 0; v < rt.numVcs(); ++v) {
-            if (rt.outputVc(port, v).allocated)
+            if (rt.outputVc(port, v).allocated())
                 return true;
         }
         return false;
@@ -223,7 +223,7 @@ TEST(Router, OccupancyHelpers)
         unsigned busy = 0;
         for (PortId q = 0; q < rt.params().netPorts; ++q) {
             for (VcId v = 0; v < rt.numVcs(); ++v)
-                busy += rt.outputVc(q, v).allocated;
+                busy += rt.outputVc(q, v).allocated();
         }
         return busy;
     };
