@@ -68,7 +68,7 @@ printStatus(Network &net, NdmDetector &det,
         if (m.status == MsgStatus::Active && m.numLinks() > 0) {
             const PathLink head = m.headLink();
             const InputVc &vc =
-                net.router(head.node).inputVc(head.port, head.vc);
+                net.inputVc(head.node, head.port, head.vc);
             if (vc.attempted && !vc.routed) {
                 state = "BLOCKED";
                 flag = det.gpFlag(head.node, head.port) ? 'G' : 'P';

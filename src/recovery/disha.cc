@@ -35,7 +35,7 @@ DishaRecovery::onDeadlockDetected(MsgId msg)
     WORMNET_ASSERT(m.numLinks() > 0);
 
     const PathLink head = m.headLink();
-    InputVc &vc = net_->router(head.node).inputVc(head.port, head.vc);
+    InputVc &vc = net_->inputVc(head.node, head.port, head.vc);
     WORMNET_ASSERT(vc.msg == msg);
     if (vc.routed)
         return; // advancing again; verdict is stale

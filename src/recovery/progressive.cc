@@ -34,7 +34,7 @@ ProgressiveRecovery::onDeadlockDetected(MsgId msg)
     WORMNET_ASSERT(m.numLinks() > 0);
 
     const PathLink head = m.headLink();
-    InputVc &vc = net_->router(head.node).inputVc(head.port, head.vc);
+    InputVc &vc = net_->inputVc(head.node, head.port, head.vc);
     WORMNET_ASSERT(vc.msg == msg);
     if (vc.routed) {
         // Source-side mechanisms can raise verdicts on worms whose

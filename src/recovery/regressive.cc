@@ -34,7 +34,7 @@ RegressiveRecovery::onDeadlockDetected(MsgId msg)
     // flits at tick() (after the switch phase) so the cycle's
     // transfers act on consistent state.
     const PathLink head = m.headLink();
-    InputVc &vc = net_->router(head.node).inputVc(head.port, head.vc);
+    InputVc &vc = net_->inputVc(head.node, head.port, head.vc);
     WORMNET_ASSERT(vc.msg == msg);
     m.status = MsgStatus::Recovering;
     net_->setHeadRecovering(msg);

@@ -288,7 +288,7 @@ loneFreshFlitVc(const Network &net)
     for (NodeId n = 0; n < net.numNodes(); ++n) {
         for (PortId p = 0; p < rp.numInPorts(); ++p) {
             for (VcId v = 0; v < rp.vcs; ++v) {
-                const InputVc &vc = net.router(n).inputVc(p, v);
+                const InputVc &vc = net.inputVc(n, p, v);
                 if (vc.buf.count == 1 &&
                     vc.buf.newestReadyAt == net.now())
                     return &vc;

@@ -239,7 +239,7 @@ TEST(Fault, FaultedPortsNeverInFeasibleSetsUnderLoad)
         for (NodeId n = 0; n < net.numNodes(); ++n) {
             for (PortId p = 0; p < rp.numInPorts(); ++p) {
                 for (VcId v = 0; v < rp.vcs; ++v) {
-                    const InputVc &vc = net.router(n).inputVc(p, v);
+                    const InputVc &vc = net.inputVc(n, p, v);
                     if (vc.routed) {
                         EXPECT_FALSE(net.portFaulty(n, vc.outPort));
                     }
@@ -280,7 +280,7 @@ TEST(Fault, DeadRouterKillsOccupantsAndTrafficDrains)
     const RouterParams &rp = net.routerParams();
     for (PortId p = 0; p < rp.numInPorts(); ++p)
         for (VcId v = 0; v < rp.vcs; ++v)
-            EXPECT_TRUE(net.router(5).inputVc(p, v).free());
+            EXPECT_TRUE(net.inputVc(5, p, v).free());
 }
 
 TEST(Fault, StochasticFaultsWithRepairKeepBooksBalanced)

@@ -89,7 +89,7 @@ class RingScenario
                 continue;
             const PathLink head = m.headLink();
             const InputVc &vc =
-                net->router(head.node).inputVc(head.port, head.vc);
+                net->inputVc(head.node, head.port, head.vc);
             if (vc.msg == msg && vc.attempted && !vc.routed)
                 return true;
         }

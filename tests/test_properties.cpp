@@ -56,13 +56,12 @@ TEST_P(ConservationSweep, DrainedNetworkIsCleanAndConserving)
     // All router state back to idle.
     const RouterParams &rp = sim.net().routerParams();
     for (NodeId n = 0; n < sim.net().numNodes(); ++n) {
-        const Router &rt = sim.net().router(n);
         for (PortId p = 0; p < rp.numInPorts(); ++p)
             for (VcId v = 0; v < rp.vcs; ++v)
-                ASSERT_TRUE(rt.inputVc(p, v).free());
+                ASSERT_TRUE(sim.net().inputVc(n, p, v).free());
         for (PortId q = 0; q < rp.numOutPorts(); ++q)
             for (VcId v = 0; v < rp.vcs; ++v)
-                ASSERT_FALSE(rt.outputVc(q, v).allocated());
+                ASSERT_FALSE(sim.net().outputVc(n, q, v).allocated());
     }
 }
 

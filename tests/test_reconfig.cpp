@@ -249,16 +249,16 @@ TEST(ReconfigLive, RoutingSwapReachesBlockedHeadNextCycle)
     const MsgId a = net.injectMessage(0, east, 64);
     const MsgId c = net.injectMessage(0, north, 64);
     net.run(4);
-    ASSERT_EQ(net.router(0).outputVc(px, 0).msg, a);
-    ASSERT_EQ(net.router(0).outputVc(py, 0).msg, c);
+    ASSERT_EQ(net.outputVc(0, px, 0).msg, a);
+    ASSERT_EQ(net.outputVc(0, py, 0).msg, c);
 
     const MsgId b = net.injectMessage(0, diag, 8);
     const InputVc *head = nullptr;
     for (int i = 0; i < 8 && !(head && head->attempted); ++i) {
         net.step();
         for (PortId p = rp.netPorts; p < rp.numInPorts(); ++p)
-            if (net.router(0).inputVc(p, 0).msg == b)
-                head = &net.router(0).inputVc(p, 0);
+            if (net.inputVc(0, p, 0).msg == b)
+                head = &net.inputVc(0, p, 0);
     }
     ASSERT_NE(head, nullptr);
     ASSERT_TRUE(head->attempted);

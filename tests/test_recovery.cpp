@@ -99,14 +99,14 @@ TEST(Progressive, DrainFreesChannelsCompletely)
     EXPECT_EQ(sim.net().stats().delivered, 4u);
     const RouterParams &rp = sim.net().routerParams();
     for (NodeId n = 0; n < sim.net().numNodes(); ++n) {
-        const Router &rt = sim.net().router(n);
         for (PortId p = 0; p < rp.numInPorts(); ++p)
             for (VcId v = 0; v < rp.vcs; ++v)
-                EXPECT_TRUE(rt.inputVc(p, v).free());
+                EXPECT_TRUE(sim.net().inputVc(n, p, v).free());
         for (PortId q = 0; q < rp.numOutPorts(); ++q) {
             for (VcId v = 0; v < rp.vcs; ++v) {
-                EXPECT_FALSE(rt.outputVc(q, v).allocated());
-                EXPECT_EQ(rt.outputVc(q, v).credits, rp.bufDepth);
+                const OutputVc &out = sim.net().outputVc(n, q, v);
+                EXPECT_FALSE(out.allocated());
+                EXPECT_EQ(out.credits, rp.bufDepth);
             }
         }
     }
@@ -175,17 +175,16 @@ TEST(Regressive, KillRestoresChannelState)
     sim.net().run(4000);
     const RouterParams &rp = sim.net().routerParams();
     for (NodeId n = 0; n < sim.net().numNodes(); ++n) {
-        const Router &rt = sim.net().router(n);
         for (PortId p = 0; p < rp.numInPorts(); ++p) {
             for (VcId v = 0; v < rp.vcs; ++v) {
-                const InputVc &vc = rt.inputVc(p, v);
+                const InputVc &vc = sim.net().inputVc(n, p, v);
                 EXPECT_TRUE(vc.free());
                 EXPECT_TRUE(vc.buf.empty());
             }
         }
         for (PortId q = 0; q < rp.numOutPorts(); ++q) {
             for (VcId v = 0; v < rp.vcs; ++v) {
-                const OutputVc &out = rt.outputVc(q, v);
+                const OutputVc &out = sim.net().outputVc(n, q, v);
                 EXPECT_FALSE(out.allocated());
                 EXPECT_EQ(out.credits, rp.bufDepth);
             }

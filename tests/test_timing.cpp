@@ -85,7 +85,7 @@ TEST(Timing, FlitIntoEmptyRoutedVcCrossesNextCycle)
         std::uint32_t front;
     };
     const auto look = [&](VcId v) {
-        const InputVc &vc = net.router(1).inputVc(east.port, v);
+        const InputVc &vc = net.inputVc(1, east.port, v);
         return Seen{vc.free(), vc.routed, vc.buf.count, vc.buf.front};
     };
     unsigned arrivals = 0;

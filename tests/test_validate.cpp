@@ -46,8 +46,7 @@ TEST(Validate, DetectsForeignFlit)
     Simulation sim(cfg);
     // Corrupt: claim a VC for message 0 with no flits injected...
     sim.net().injectMessage(0, 5, 4);
-    Router &rt = sim.net().router(0);
-    rt.inputVc(0, 0).msg = 0;
+    sim.net().inputVc(0, 0, 0).msg = 0;
     EXPECT_THROW(sim.net().audit(), PanicError);
 }
 
@@ -58,7 +57,7 @@ TEST(Validate, DetectsCreditDrift)
     cfg.dims = 2;
     cfg.flitRate = 0.0;
     Simulation sim(cfg);
-    sim.net().router(0).outputVc(0, 0).credits = 1;
+    sim.net().outputVc(0, 0, 0).credits = 1;
     EXPECT_THROW(sim.net().audit(), PanicError);
 }
 
@@ -69,7 +68,7 @@ TEST(Validate, DetectsDanglingAllocation)
     cfg.dims = 2;
     cfg.flitRate = 0.0;
     Simulation sim(cfg);
-    OutputVc &out = sim.net().router(3).outputVc(1, 2);
+    OutputVc &out = sim.net().outputVc(3, 1, 2);
     out.msg = 0;
     sim.net().injectMessage(0, 5, 4); // message 0 exists, holds nothing
     EXPECT_THROW(sim.net().audit(), PanicError);
@@ -100,7 +99,7 @@ findInputVc(Network &net, Pick pick)
     for (NodeId node = 0; node < net.numNodes(); ++node) {
         for (PortId p = 0; p < rp.numInPorts(); ++p) {
             for (VcId v = 0; v < rp.vcs; ++v) {
-                InputVc &vc = net.router(node).inputVc(p, v);
+                InputVc &vc = net.inputVc(node, p, v);
                 if (pick(vc, p))
                     return &vc;
             }
