@@ -101,6 +101,7 @@ main(int argc, char **argv)
         rp.ejePorts =
             static_cast<unsigned>(cfg.getUint("eje-ports", 4));
         rp.vcs = static_cast<unsigned>(cfg.getUint("vcs", 3));
+        rp.validate();
 
         const std::string routingName =
             cfg.getString("routing", "tfa");

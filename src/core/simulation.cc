@@ -95,6 +95,7 @@ Simulation::Simulation(const SimulationConfig &config)
     rp.ejePorts = config.ejePorts;
     rp.vcs = config.vcs;
     rp.bufDepth = config.bufDepth;
+    rp.validate();
     routing_ = makeRoutingFunction(config.routing, *topology_, rp);
 
     detector_ = makeDetector(config.detector);

@@ -16,7 +16,7 @@ RoutingFunction::RoutingFunction(const Topology &topo,
 std::uint32_t
 RoutingFunction::allVcsMask() const
 {
-    return (std::uint32_t(1) << params_.vcs) - 1;
+    return ~std::uint32_t(0) >> (32 - params_.vcs);
 }
 
 void
