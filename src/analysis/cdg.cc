@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "common/contracts.hh"
 #include "common/log.hh"
@@ -343,8 +342,6 @@ ChannelDepGraph::build()
     report_.escapeVcs = escapeVcs_;
     report_.escapeDistinct = escapeVcs_ < vcs_;
 
-    std::unordered_set<std::uint64_t> edgeSeen;
-    std::unordered_set<std::uint64_t> escSeen;
     if (report_.escapeDistinct)
         escSucc_.assign(space, {});
 
@@ -355,12 +352,13 @@ ChannelDepGraph::build()
     std::vector<std::pair<ChanId, ChanId>> localEdges;
     std::vector<RouteCandidate> cands;
 
+    // A successor list holds at most one channel per output VC, so
+    // a linear find dedupes it and keeps the first-seen order.
     const auto addEdge = [&](ChanId c1, ChanId c2) {
         localEdges.emplace_back(c1, c2);
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(c1) * space + c2;
-        if (edgeSeen.insert(key).second) {
-            succ_[c1].push_back(c2);
+        std::vector<ChanId> &out = succ_[c1];
+        if (std::find(out.begin(), out.end(), c2) == out.end()) {
+            out.push_back(c2);
             ++report_.edges;
         }
     };
@@ -485,10 +483,10 @@ ChannelDepGraph::build()
             }
 
             const auto addEscEdge = [&](ChanId e1, ChanId e2) {
-                const std::uint64_t key =
-                    static_cast<std::uint64_t>(e1) * space + e2;
-                if (escSeen.insert(key).second) {
-                    escSucc_[e1].push_back(e2);
+                std::vector<ChanId> &out = escSucc_[e1];
+                if (std::find(out.begin(), out.end(), e2) ==
+                    out.end()) {
+                    out.push_back(e2);
                     ++report_.escapeEdges;
                 }
             };
@@ -694,13 +692,14 @@ ChannelDepGraph::toDot(bool cyclic_only) const
        << "  node [shape=box, fontname=\"monospace\", "
           "fontsize=10];\n";
 
-    std::unordered_set<std::uint64_t> witnessEdges;
+    std::vector<std::uint64_t> witnessEdges;
     const std::size_t space = exists_.size();
     const auto &w = report_.witness;
     for (std::size_t i = 0; i < w.size(); ++i)
-        witnessEdges.insert(static_cast<std::uint64_t>(w[i]) *
-                                space +
-                            w[(i + 1) % w.size()]);
+        witnessEdges.push_back(static_cast<std::uint64_t>(w[i]) *
+                                   space +
+                               w[(i + 1) % w.size()]);
+    std::sort(witnessEdges.begin(), witnessEdges.end());
 
     const auto emitVertex = [&](ChanId c) {
         os << "  c" << c << " [label=\"" << describe(c) << '"';
@@ -722,7 +721,8 @@ ChannelDepGraph::toDot(bool cyclic_only) const
             if (cyclic_only && !inCycle_[s])
                 continue;
             os << "  c" << c << " -> c" << s;
-            if (witnessEdges.count(
+            if (std::binary_search(
+                    witnessEdges.begin(), witnessEdges.end(),
                     static_cast<std::uint64_t>(c) * space + s))
                 os << " [color=red, penwidth=2]";
             os << ";\n";
